@@ -57,19 +57,10 @@ class Graph:
         cls, edges: Iterable[tuple], extra_vertices: Iterable[str] = ()
     ) -> "Graph":
         """Build a graph with the vertex set inferred in order of first appearance."""
-        seen: dict[str, None] = {}
-        normalized = []
-        for e in edges:
-            if len(e) == 2:
-                u, v, w = str(e[0]), str(e[1]), 1.0
-            else:
-                u, v, w = str(e[0]), str(e[1]), float(e[2])
-            seen.setdefault(u)
-            seen.setdefault(v)
-            normalized.append((u, v, w))
-        for v in extra_vertices:
-            seen.setdefault(str(v))
-        return cls(tuple(seen), tuple(normalized))
+        edges = tuple(edges)
+        seen = dict.fromkeys(str(v) for e in edges for v in e[:2])
+        seen.update(dict.fromkeys(str(v) for v in extra_vertices))
+        return cls(tuple(seen), edges)
 
 
 def parse_edge_list(text: str, source: str = "<edge list>") -> Graph:
@@ -226,8 +217,8 @@ def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
     preserved exactly; in particular resolving sets and the metric dimension
     do not change.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     d = space.dist
     squashed = eta * d / (eta + d)
     return FiniteMetricSpace(space.points, squashed, space.tolerance, name=space.name)

@@ -11,6 +11,7 @@ flag as its oracle.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +80,55 @@ def resolves(space: FiniteMetricSpace, subset) -> bool:
     return True
 
 
+def _distinguisher_sets(
+    space: FiniteMetricSpace,
+) -> tuple[list[str], list[frozenset[int]]]:
+    """Label-sorted points and, per pair in label-sorted order, its separators.
+
+    Each set holds the label-sorted positions of the points that tell the
+    pair apart; an indistinguishable pair gets an empty set.
+    """
+    order = sorted(range(space.n), key=space.points.__getitem__)
+    labels = [space.points[i] for i in order]
+    d = space.dist[np.ix_(order, order)]
+    positions = range(space.n)
+    sets: list[frozenset[int]] = []
+    for i in range(space.n - 1):
+        masks = np.abs(d[i + 1 :] - d[i]) > space.tolerance
+        sets.extend(frozenset(itertools.compress(positions, m)) for m in masks.tolist())
+    return labels, sets
+
+
+def _greedy_hitting_set(labels: list[str], sets: list[frozenset[int]]) -> list[int]:
+    """Greedy hitting set: repeatedly take the position hitting most open sets.
+
+    Ties break toward the smaller position, i.e. the smaller label. Raises
+    on the first empty set, naming its pair.
+    """
+    for pair, s in zip(itertools.combinations(labels, 2), sets):
+        if not s:
+            raise ValueError(
+                f"points {pair[0]!r} and {pair[1]!r} are indistinguishable at tolerance"
+            )
+    remaining = sets
+    chosen: list[int] = []
+    while remaining:
+        hits = Counter(itertools.chain.from_iterable(remaining))
+        best = min(hits, key=lambda p: (-hits[p], p))
+        chosen.append(best)
+        remaining = [s for s in remaining if best not in s]
+    return sorted(chosen)
+
+
 def pair_table(space: FiniteMetricSpace) -> PairTable:
     """Build the distinguisher sets for every unordered pair of points."""
-    pts = space.points
-    d = space.dist
-    tau = space.tolerance
-    table: dict[tuple[str, str], frozenset[str]] = {}
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            mask = np.abs(d[i] - d[j]) > tau
-            key = (pts[i], pts[j]) if pts[i] < pts[j] else (pts[j], pts[i])
-            table[key] = frozenset(pts[k] for k in np.flatnonzero(mask))
-    return PairTable(table)
+    labels, sets = _distinguisher_sets(space)
+    by_pair = {
+        pair: frozenset(labels[k] for k in s)
+        for pair, s in zip(itertools.combinations(labels, 2), sets)
+    }
+    in_point_order = (tuple(sorted(pair)) for pair in itertools.combinations(space.points, 2))
+    return PairTable({pair: by_pair[pair] for pair in in_point_order})
 
 
 def greedy_generator(space: FiniteMetricSpace) -> tuple[str, ...]:
@@ -99,27 +137,8 @@ def greedy_generator(space: FiniteMetricSpace) -> tuple[str, ...]:
     Ties break toward the lexicographically smaller label. The result always
     resolves the space and its size is an upper bound on the dimension.
     """
-    table = pair_table(space)
-    remaining = set(table.pairs)
-    labels = sorted(space.points)
-    chosen: list[str] = []
-    while remaining:
-        best = None
-        best_hits = 0
-        for p in labels:
-            if p in chosen:
-                continue
-            hits = sum(1 for pair in remaining if p in table.pairs[pair])
-            if hits > best_hits:
-                best, best_hits = p, hits
-        if best is None:
-            pair = min(remaining)
-            raise ValueError(
-                f"points {pair[0]!r} and {pair[1]!r} are indistinguishable at tolerance"
-            )
-        chosen.append(best)
-        remaining = {pair for pair in remaining if best not in table.pairs[pair]}
-    return tuple(sorted(chosen))
+    labels, sets = _distinguisher_sets(space)
+    return tuple(labels[i] for i in _greedy_hitting_set(labels, sets))
 
 
 def _packing_lower_bound(sets: list[frozenset[int]]) -> int:
@@ -222,21 +241,6 @@ def _lex_least_hitting_set(
     return chosen
 
 
-def _distinguisher_index_sets(
-    space: FiniteMetricSpace, candidates: list[str]
-) -> list[frozenset[int]]:
-    position = {p: i for i, p in enumerate(candidates)}
-    table = pair_table(space)
-    sets = []
-    for pair, dset in sorted(table.pairs.items()):
-        if not dset:
-            raise ValueError(
-                f"points {pair[0]!r} and {pair[1]!r} are indistinguishable at tolerance"
-            )
-        sets.append(frozenset(position[p] for p in dset))
-    return sets
-
-
 def metric_dimension(
     space: FiniteMetricSpace,
     enumerate_all: bool = False,
@@ -285,8 +289,8 @@ def metric_dimension(
             )
         return ResolveResult(dimension, found, all_bases)
 
-    sets = _distinguisher_index_sets(space, candidates)
-    upper = len(greedy_generator(space))
+    _, sets = _distinguisher_sets(space)
+    upper = len(_greedy_hitting_set(candidates, sets))
     dimension = _min_hitting_set_size(sets, upper)
     if dimension is None:
         raise AssertionError("greedy witness contradicts the search bound")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class FiniteMetricSpace:
                 f"distance table is {dist.shape[0]}x{dist.shape[1]} "
                 f"but there are {len(points)} points"
             )
-        if not self.tolerance >= 0:
-            raise ValueError("tolerance must be a nonnegative real")
+        if not 0 <= self.tolerance < np.inf:
+            raise ValueError("tolerance must be a finite nonnegative real")
         dist.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dist", dist)
@@ -244,11 +244,3 @@ def save_space(space: FiniteMetricSpace, path: str) -> None:
         json.dump(space_to_json(space), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def points_subset(space: FiniteMetricSpace, labels: Iterable[str]) -> tuple[str, ...]:
-    """The given labels in the space's point order, validating membership."""
-    wanted = set(labels)
-    unknown = wanted - set(space.points)
-    if unknown:
-        raise KeyError(f"unknown points {sorted(unknown)!r}")
-    return tuple(p for p in space.points if p in wanted)

@@ -215,6 +215,15 @@ class TestErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "command, option", [("squash", "--eta"), ("stats", "--tolerance")]
+    )
+    def test_infinite_parameter_exit_code(self, capsys, p4_edges, command, option):
+        code, out, err = run(capsys, [command, p4_edges, option, "inf"])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_format_override(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text(P4_EDGES)

@@ -137,6 +137,11 @@ class TestSquash:
         with pytest.raises(ValueError):
             squash(-1.0, discrete_metric(3))
 
+    def test_rejects_infinite_eta(self):
+        # inf * d / (inf + d) is NaN for every entry.
+        with pytest.raises(ValueError, match="eta"):
+            squash(float("inf"), discrete_metric(3))
+
 
 K2 = graph_metric(complete_graph(2))
 HALF_PAIR = FiniteMetricSpace(("y1", "y2"), [[0, 0.5], [0.5, 0]])

@@ -7,6 +7,7 @@ both must report as the lexicographically least one.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from lexmetric.construct import (
@@ -27,6 +28,7 @@ from lexmetric.resolving import (
     resolves,
 )
 from lexmetric.space import FiniteMetricSpace, nearness
+from lexmetric.theory import random_connected_graph
 from lexmetric.twins import twin_classes
 
 P3 = graph_metric(path_graph(3))
@@ -40,6 +42,28 @@ C5 = graph_metric(cycle_graph(5))
 def star_graph(leaves: int) -> Graph:
     labels = ("c",) + tuple(f"l{i + 1}" for i in range(leaves))
     return Graph(labels, tuple(("c", leaf, 1.0) for leaf in labels[1:]))
+
+
+def shuffled(space: FiniteMetricSpace, seed: int) -> FiniteMetricSpace:
+    """The same metric with its points in a seeded order instead of label order.
+
+    Every off-diagonal entry also moves by a seeded amount below half the
+    tolerance, so equal distances become unequal floats that still compare
+    equal, and no resolve decision changes.
+    """
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(space.n)
+    noise = np.triu(rng.uniform(-0.4, 0.4, (space.n, space.n)) * space.tolerance, 1)
+    table = space.dist[np.ix_(order, order)] + noise + noise.T
+    return FiniteMetricSpace(tuple(space.points[i] for i in order), table, space.tolerance)
+
+
+# Labels such as v10 sort before v2, and the point order is shuffled, so a
+# wrong label-to-row permutation shows up as a wrong set, basis or greedy pick.
+SHUFFLED = [
+    shuffled(graph_metric(cycle_graph(10)), seed=3),
+    shuffled(graph_metric(random_connected_graph(np.random.default_rng(5), 11)), seed=5),
+]
 
 
 class TestCoordinates:
@@ -90,7 +114,7 @@ class TestPairTable:
 @pytest.mark.parametrize(
     "space",
     [P3, P4, C4, C5, K4, graph_metric(star_graph(3)),
-     graph_metric(cycle_graph(6)), graph_metric(path_graph(7))],
+     graph_metric(cycle_graph(6)), graph_metric(path_graph(7)), *SHUFFLED],
 )
 def test_hitting_set_equivalence_exhaustive(space):
     """resolves(S) iff S intersects every distinguisher set, for all subsets."""
@@ -157,7 +181,7 @@ class TestMetricDimension:
 @pytest.mark.parametrize(
     "space",
     [P3, P4, C4, C5, K3, K4, graph_metric(star_graph(3)), graph_metric(path_graph(7)),
-     graph_metric(cycle_graph(6)), discrete_metric(5)],
+     graph_metric(cycle_graph(6)), discrete_metric(5), *SHUFFLED],
 )
 def test_solvers_agree_including_witness(space):
     fast = metric_dimension(space, enumerate_all=True)
@@ -174,7 +198,7 @@ class TestGreedy:
     def test_complete_graph_three_of_four(self):
         assert greedy_generator(K4) == ("v1", "v2", "v3")
 
-    @pytest.mark.parametrize("space", [P3, P4, C4, C5, K4, discrete_metric(6)])
+    @pytest.mark.parametrize("space", [P3, P4, C4, C5, K4, discrete_metric(6), *SHUFFLED])
     def test_output_resolves_and_bounds_dimension(self, space):
         greedy = greedy_generator(space)
         assert resolves(space, greedy)

@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             FiniteMetricSpace(("a", "a"), [[0, 1], [1, 0]])
 
+    def test_rejects_infinite_tolerance(self):
+        # An infinite tolerance would make every pair of points indistinguishable.
+        with pytest.raises(ValueError, match="tolerance"):
+            FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], tolerance=float("inf"))
+
     def test_table_is_read_only(self):
         s = p3()
         with pytest.raises(ValueError):
