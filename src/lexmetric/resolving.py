@@ -4,15 +4,16 @@ A subset resolves a space when the vector of distances to the subset is
 different for every point. Finding a minimum resolving set is a minimum
 hitting set problem: for each point pair, collect the points that tell the
 pair apart, then hit every one of those sets. The branch-and-bound solver
-here is exact; an independent subset-enumeration solver is kept behind a
-flag as its oracle.
+here is exact. It first drops duplicate sets and supersets, then solves each
+group of sets that share no point with the others on its own. An independent
+subset-enumeration solver is kept behind a flag as its oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +27,34 @@ class EnumerationCapExceeded(ValueError):
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """Size of one branch-and-bound solve after data reduction.
+
+    ``raw_sets`` counts the distinguisher sets, one per point pair;
+    ``reduced_sets`` the distinct ones left after dropping supersets; and
+    ``components`` the independent groups those split into.
+    """
+
+    raw_sets: int
+    reduced_sets: int
+    components: int
+
+
+@dataclass(frozen=True)
 class ResolveResult:
     """Exact metric dimension with a witness.
 
     ``basis`` is the lexicographically least minimum resolving set (by label
     order). ``all_bases`` is the complete list of minimum resolving sets when
-    enumeration was requested, None otherwise.
+    enumeration was requested, None otherwise. ``stats`` describes the
+    branch-and-bound solve (None for the enumeration method); it takes no
+    part in equality.
     """
 
     dimension: int
     basis: tuple[str, ...]
     all_bases: tuple[tuple[str, ...], ...] | None = None
+    stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,17 +117,21 @@ def _distinguisher_sets(
     return labels, sets
 
 
-def _greedy_hitting_set(labels: list[str], sets: list[frozenset[int]]) -> list[int]:
-    """Greedy hitting set: repeatedly take the position hitting most open sets.
-
-    Ties break toward the smaller position, i.e. the smaller label. Raises
-    on the first empty set, naming its pair.
-    """
+def _require_distinguishable(labels: list[str], sets: list[frozenset[int]]) -> None:
+    """Raise on the first empty distinguisher set, naming its pair."""
     for pair, s in zip(itertools.combinations(labels, 2), sets):
         if not s:
             raise ValueError(
                 f"points {pair[0]!r} and {pair[1]!r} are indistinguishable at tolerance"
             )
+
+
+def _greedy_hitting_set(sets: list[frozenset[int]]) -> list[int]:
+    """Greedy hitting set: repeatedly take the position hitting most open sets.
+
+    Ties break toward the smaller position, i.e. the smaller label. Every set
+    must be non-empty.
+    """
     remaining = sets
     chosen: list[int] = []
     while remaining:
@@ -138,7 +160,8 @@ def greedy_generator(space: FiniteMetricSpace) -> tuple[str, ...]:
     resolves the space and its size is an upper bound on the dimension.
     """
     labels, sets = _distinguisher_sets(space)
-    return tuple(labels[i] for i in _greedy_hitting_set(labels, sets))
+    _require_distinguishable(labels, sets)
+    return tuple(labels[i] for i in _greedy_hitting_set(sets))
 
 
 def _packing_lower_bound(sets: list[frozenset[int]]) -> int:
@@ -241,6 +264,59 @@ def _lex_least_hitting_set(
     return chosen
 
 
+def _minimal_masks(sets: list[frozenset[int]]) -> list[int]:
+    """The distinct sets that contain no other set, as bitmasks.
+
+    A candidate set hits a superset whenever it hits the subset, so dropping
+    duplicates and supersets leaves the hitting sets exactly the same
+    (Weihe 1998). Sorting by size puts every subset before its supersets,
+    so the smallest set left is always minimal.
+    """
+    masks = sorted({sum(1 << i for i in s) for s in set(sets)}, key=lambda m: (m.bit_count(), m))
+    minimal: list[int] = []
+    while masks:
+        least = masks[0]
+        minimal.append(least)
+        masks = [m for m in masks[1:] if least & m != least]
+    return minimal
+
+
+def _components(masks: list[int]) -> list[list[int]]:
+    """Group the masks into connected components over shared candidates.
+
+    A hitting set splits into independent parts, one per component.
+    """
+    groups: list[tuple[int, list[int]]] = []
+    for m in masks:
+        union, members, apart = m, [m], []
+        for g_union, g_members in groups:
+            if g_union & m:
+                union |= g_union
+                members += g_members
+            else:
+                apart.append((g_union, g_members))
+        groups = apart + [(union, members)]
+    return [members for _, members in groups]
+
+
+def _solve_component(masks: list[int]) -> list[int]:
+    """Lex-least minimum hitting set of one component, in global positions.
+
+    The component's candidates are renumbered 0..k-1 in position order, so
+    lexicographic order is preserved both ways.
+    """
+    union = 0
+    for m in masks:
+        union |= m
+    positions = [i for i in range(union.bit_length()) if union >> i & 1]
+    sets = [frozenset(k for k, i in enumerate(positions) if m >> i & 1) for m in masks]
+    upper = len(_greedy_hitting_set(sets))
+    size = _min_hitting_set_size(sets, upper)
+    if size is None:
+        raise AssertionError("greedy witness contradicts the search bound")
+    return [positions[k] for k in _lex_least_hitting_set(sets, len(positions), size)]
+
+
 def metric_dimension(
     space: FiniteMetricSpace,
     enumerate_all: bool = False,
@@ -249,11 +325,15 @@ def metric_dimension(
 ) -> ResolveResult:
     """Exact metric dimension with the lexicographically least witness basis.
 
-    method "bnb" (default) solves the minimum hitting set over the pair
-    table by branch and bound, then reconstructs the least witness. method
-    "enumeration" is the independent oracle: it tries subsets in
-    lexicographic order by increasing size, checking :func:`resolves`
-    directly, and is only meant for small spaces.
+    method "bnb" (default) reduces the pair table to its minimal distinct
+    distinguisher sets, splits them into components over shared candidates,
+    and solves each component by branch and bound, then reconstructs its
+    least witness. Two minimum bases compare by the least point of their
+    symmetric difference, which lies in one component, so the union of the
+    component witnesses is the least basis. method "enumeration" is the
+    independent oracle: it tries subsets in lexicographic order by
+    increasing size, checking :func:`resolves` directly, and is only meant
+    for small spaces.
 
     With ``enumerate_all`` the complete list of minimum bases is returned as
     well; that walk over all subsets of the optimal size is exponential, so
@@ -290,18 +370,19 @@ def metric_dimension(
         return ResolveResult(dimension, found, all_bases)
 
     _, sets = _distinguisher_sets(space)
-    upper = len(_greedy_hitting_set(candidates, sets))
-    dimension = _min_hitting_set_size(sets, upper)
-    if dimension is None:
-        raise AssertionError("greedy witness contradicts the search bound")
-    witness_idx = _lex_least_hitting_set(sets, len(candidates), dimension)
+    _require_distinguishable(candidates, sets)
+    minimal = _minimal_masks(sets)
+    components = _components(minimal)
+    witness_idx = sorted(i for masks in components for i in _solve_component(masks))
+    dimension = len(witness_idx)
     basis = tuple(candidates[i] for i in witness_idx)
     all_bases = None
     if enumerate_all:
         hits = []
         for combo in itertools.combinations(range(len(candidates)), dimension):
-            combo_set = set(combo)
-            if all(combo_set & s for s in sets):
+            combo_mask = sum(1 << i for i in combo)
+            if all(combo_mask & m for m in minimal):
                 hits.append(tuple(candidates[i] for i in combo))
         all_bases = tuple(hits)
-    return ResolveResult(dimension, basis, all_bases)
+    stats = SolveStats(len(sets), len(minimal), len(components))
+    return ResolveResult(dimension, basis, all_bases, stats)

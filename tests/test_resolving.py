@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexmetric.construct import (
     Graph,
@@ -16,11 +17,19 @@ from lexmetric.construct import (
     cycle_graph,
     discrete_metric,
     graph_metric,
+    lexicographic,
     path_graph,
     squash,
 )
 from lexmetric.resolving import (
     EnumerationCapExceeded,
+    SolveStats,
+    _components,
+    _distinguisher_sets,
+    _lex_least_hitting_set,
+    _min_hitting_set_size,
+    _minimal_masks,
+    _solve_component,
     coordinates,
     greedy_generator,
     metric_dimension,
@@ -28,7 +37,7 @@ from lexmetric.resolving import (
     resolves,
 )
 from lexmetric.space import FiniteMetricSpace, nearness
-from lexmetric.theory import random_connected_graph
+from lexmetric.theory import formula_rhs, random_connected_graph, random_metric_space
 from lexmetric.twins import twin_classes
 
 P3 = graph_metric(path_graph(3))
@@ -64,6 +73,11 @@ SHUFFLED = [
     shuffled(graph_metric(cycle_graph(10)), seed=3),
     shuffled(graph_metric(random_connected_graph(np.random.default_rng(5), 11)), seed=5),
 ]
+
+# Points a and b are 1e-10 apart, well inside the default tolerance.
+NEAR_DUPLICATE = FiniteMetricSpace(
+    ("a", "b", "c"), [[0, 0.0000000001, 1], [0.0000000001, 0, 1], [1, 1, 0]]
+)
 
 
 class TestCoordinates:
@@ -177,6 +191,19 @@ class TestMetricDimension:
         with pytest.raises(ValueError, match="method"):
             metric_dimension(P3, method="magic")
 
+    def test_indistinguishable_points_raise(self):
+        with pytest.raises(ValueError, match="indistinguishable"):
+            metric_dimension(NEAR_DUPLICATE)
+
+    def test_stats_describe_the_reduction_and_stay_out_of_equality(self):
+        # Only the diagonals {v1, v3} and {v2, v4} are left, and they share no point.
+        fast = metric_dimension(C4)
+        assert fast.stats == SolveStats(raw_sets=6, reduced_sets=2, components=2)
+        oracle = metric_dimension(C4, method="enumeration")
+        assert oracle.stats is None
+        assert fast == oracle
+        assert repr(fast) == "ResolveResult(dimension=2, basis=('v1', 'v2'), all_bases=None)"
+
 
 @pytest.mark.parametrize(
     "space",
@@ -205,11 +232,8 @@ class TestGreedy:
         assert len(greedy) >= metric_dimension(space).dimension
 
     def test_indistinguishable_points_raise(self):
-        space = FiniteMetricSpace(
-            ("a", "b", "c"), [[0, 0.0000000001, 1], [0.0000000001, 0, 1], [1, 1, 0]]
-        )
         with pytest.raises(ValueError, match="indistinguishable"):
-            greedy_generator(space)
+            greedy_generator(NEAR_DUPLICATE)
 
 
 @pytest.mark.parametrize("space", [P3, K3, C4, graph_metric(star_graph(3))])
@@ -239,3 +263,117 @@ def test_dimension_invariant_under_squash(space):
     assert (
         metric_dimension(space).dimension == metric_dimension(squashed).dimension
     )
+
+
+def hits(candidates, sets) -> bool:
+    return all(set(candidates) & set(s) for s in sets)
+
+
+def mask_members(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def kernel_witness(sets: list[frozenset[int]]) -> list[int]:
+    """Union of the per-component lex-least witnesses of the reduced family."""
+    components = _components(_minimal_masks(sets))
+    return sorted(i for masks in components for i in _solve_component(masks))
+
+
+# Non-empty set families on at most 8 candidates.
+set_families = st.lists(
+    st.frozensets(st.integers(0, 7), min_size=1), min_size=0, max_size=12
+)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(set_families)
+def test_reduction_keeps_exactly_the_hitting_sets(sets):
+    reduced = [mask_members(m) for m in _minimal_masks(sets)]
+    assert len(set(reduced)) == len(reduced)
+    assert all(not a < b for a in reduced for b in reduced)
+    for r in range(9):
+        for subset in itertools.combinations(range(8), r):
+            assert hits(subset, reduced) == hits(subset, sets)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(set_families)
+def test_component_witnesses_form_the_lex_least_minimum_hitting_set(sets):
+    brute = next(
+        list(subset)
+        for r in range(9)
+        for subset in itertools.combinations(range(8), r)
+        if hits(subset, sets)
+    )
+    assert kernel_witness(sets) == brute
+
+
+def test_interleaved_components():
+    """Components {0, 2, 4} and {1, 3} interleave in label order."""
+    sets = [frozenset({0, 2}), frozenset({2, 4}), frozenset({1, 3})]
+    components = _components(_minimal_masks(sets))
+    assert sorted(sorted(sorted(mask_members(m)) for m in c) for c in components) == [
+        [[0, 2], [2, 4]],
+        [[1, 3]],
+    ]
+    assert kernel_witness(sets) == [1, 2]
+
+
+@st.composite
+def solver_spaces(draw):
+    """Random weighted spaces, and twin-rich graph products, of at most 12 points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_metric_space(rng, draw(st.integers(2, 12)))
+    n_base = draw(st.integers(2, 4))
+    n_second = draw(st.integers(2, 12 // n_base))
+    base = graph_metric(random_connected_graph(rng, n_base, prefix="x"))
+    second = graph_metric(random_connected_graph(rng, n_second, prefix="y"))
+    return lexicographic(base, second).space
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(solver_spaces())
+def test_kernel_agrees_with_plain_branch_and_bound_and_enumeration(space):
+    labels, sets = _distinguisher_sets(space)
+    size = _min_hitting_set_size(sets, space.n)
+    plain_basis = tuple(labels[i] for i in _lex_least_hitting_set(sets, space.n, size))
+    plain_all = tuple(
+        tuple(labels[i] for i in combo)
+        for combo in itertools.combinations(range(space.n), size)
+        if hits(combo, sets)
+    )
+    fast = metric_dimension(space, enumerate_all=True)
+    oracle = metric_dimension(space, enumerate_all=True, method="enumeration")
+    assert (fast.dimension, fast.basis, fast.all_bases) == (size, plain_basis, plain_all)
+    assert (fast.dimension, fast.basis, fast.all_bases) == (
+        oracle.dimension,
+        oracle.basis,
+        oracle.all_bases,
+    )
+
+
+def weighted_7x7(seed: int, index: int):
+    """The ``index``-th weighted 7x7 pair drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        base = random_metric_space(rng, 7, prefix="x")
+        second = random_metric_space(rng, 7, prefix="y")
+    return base, second
+
+
+@pytest.mark.parametrize(
+    "seed, index, stats",
+    [
+        (0, 1, SolveStats(raw_sets=1176, reduced_sets=23, components=7)),
+        (1, 4, SolveStats(raw_sets=1176, reduced_sets=46, components=7)),
+    ],
+)
+def test_heavy_tail_products_solve(seed, index, stats):
+    """Products that took 27 s and over 40 s to solve without the reduction."""
+    base, second = weighted_7x7(seed, index)
+    product = lexicographic(base, second).space
+    result = metric_dimension(product)
+    assert resolves(product, result.basis)
+    assert result.dimension == len(result.basis) == formula_rhs(base, second)
+    assert result.stats == stats
