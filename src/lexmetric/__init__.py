@@ -1,5 +1,7 @@
 """Finite metric spaces, lexicographic products, and exact metric dimension."""
 
+import types
+
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
@@ -74,66 +76,9 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_PRODUCT_CAP",
-    "DEFAULT_TOLERANCE",
-    "BasisCheck",
-    "DisconnectedGraphError",
-    "EnumerationCapExceeded",
-    "FiniteMetricSpace",
-    "Graph",
-    "PairTable",
-    "ProductSpace",
-    "ResolveResult",
-    "SizeGuardExceeded",
-    "SolveStats",
-    "SpaceStats",
-    "SpecialClassSet",
-    "TwinPartition",
-    "ValidationReport",
-    "VerificationReport",
-    "Violation",
-    "ball",
-    "complete_graph",
-    "connected_graph_spaces",
-    "coordinates",
-    "cycle_graph",
-    "diameter",
-    "discrete_metric",
-    "fiber",
-    "fiber_dimensions",
-    "formula_rhs",
-    "graph_metric",
-    "gravitational",
-    "greedy_generator",
-    "is_twins_free",
-    "lexicographic",
-    "load_graph",
-    "load_space",
-    "metric_dimension",
-    "nearness",
-    "nearness_point",
-    "pair_table",
-    "parse_edge_list",
-    "path_graph",
-    "random_connected_graph",
-    "random_metric_space",
-    "random_pairs",
-    "resolves",
-    "save_space",
-    "slack",
-    "space_from_json",
-    "space_stats",
-    "space_to_json",
-    "special_classes",
-    "squash",
-    "twin_classes",
-    "validate",
-    "verify_all",
-    "verify_corollaries",
-    "verify_diameter",
-    "verify_dimension",
-    "verify_squash",
-    "weighted_corpus_spaces",
-]
+# Every public name imported above, so the import list is the one source.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

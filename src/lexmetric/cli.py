@@ -4,7 +4,12 @@ Loads metric tables (.json) and edge lists (.edges), builds products and
 transforms, computes statistics and dimensions, and runs the verification
 checks. Human-readable output by default, one JSON document with --json.
 Exit status: 0 on success or pass, 1 on a failed validation/verification,
-2 on usage, parse, or size-guard errors.
+2 on usage, parse, or size-guard errors and on tables with non-finite
+entries.
+
+Each ``cmd_*`` takes the parsed arguments and the spaces its subparser
+declares, and returns one result ``(doc, text_lines, ok)``; :func:`main`
+loads the spaces, prints the document or the text, and sets the exit code.
 """
 
 from __future__ import annotations
@@ -13,21 +18,11 @@ import argparse
 import json
 import sys
 
-from .construct import (
-    graph_metric,
-    gravitational,
-    lexicographic,
-    load_graph,
-    squash,
-)
+import numpy as np
+
+from .construct import graph_metric, gravitational, lexicographic, load_graph, squash
 from .resolving import greedy_generator, metric_dimension
-from .space import (
-    FiniteMetricSpace,
-    load_space,
-    space_stats,
-    space_to_json,
-    validate,
-)
+from .space import FiniteMetricSpace, load_space, space_stats, space_to_json, validate
 from .theory import (
     random_pairs,
     verify_all,
@@ -39,280 +34,220 @@ from .theory import (
 from .twins import special_classes, twin_classes
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _dump(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _load(path: str, fmt: str | None, tolerance: float | None) -> FiniteMetricSpace:
-    kind = fmt
-    if kind is None:
-        kind = "edges" if path.endswith(".edges") else "json"
-    if kind == "edges":
-        space = graph_metric(load_graph(path))
-    else:
-        space = load_space(path)
+def _load(path: str, kind: str | None, tolerance: float | None, finite: bool) -> FiniteMetricSpace:
+    """Read a table (.json) or an edge list (.edges, or ``kind="edges"``).
+
+    With ``finite`` set, a table with a NaN or infinite entry raises,
+    since no statistic, dimension or identity is meaningful on it.
+    """
+    kind = kind or ("edges" if path.endswith(".edges") else "json")
+    space = graph_metric(load_graph(path)) if kind == "edges" else load_space(path)
     if tolerance is not None:
         space = FiniteMetricSpace(space.points, space.dist, tolerance, name=space.name)
+    if finite and not np.isfinite(space.dist).all():
+        raise ValueError(f"{path}: distance table has non-finite entries")
     return space
 
 
-def _print_table(space: FiniteMetricSpace) -> None:
+def _space_result(space: FiniteMetricSpace):
+    """A space as its JSON document, or as an aligned distance table."""
     width = max(max(len(p) for p in space.points), 8)
-    header = " ".join(f"{p:>{width}}" for p in space.points)
-    print(f"{'':>{width}} {header}")
-    for i, p in enumerate(space.points):
-        row = " ".join(f"{_fmt(float(x)):>{width}}" for x in space.dist[i])
-        print(f"{p:>{width}} {row}")
+    text = [f"{'':>{width}} " + " ".join(f"{p:>{width}}" for p in space.points)]
+    text += [
+        f"{p:>{width}} " + " ".join(f"{_fmt(float(x)):>{width}}" for x in row)
+        for p, row in zip(space.points, space.dist)
+    ]
+    return space_to_json(space), text, True
 
 
-def cmd_validate(args) -> int:
-    space = _load(args.file, args.format, args.tolerance)
+def cmd_validate(args, space):
     report = validate(space)
-    if args.json:
-        _emit_json(
-            {
-                "ok": report.ok,
-                "violations": [
-                    {"axiom": v.axiom, "points": list(v.where), "lhs": v.lhs, "rhs": v.rhs}
-                    for v in report.violations
-                ],
-            }
-        )
-    elif report.ok:
-        print(f"ok: {space.n} points satisfy the metric axioms")
+    doc = {
+        "ok": report.ok,
+        "violations": [
+            {"axiom": v.axiom, "points": list(v.where), "lhs": v.lhs, "rhs": v.rhs}
+            for v in report.violations
+        ],
+    }
+    if report.ok:
+        text = [f"ok: {space.n} points satisfy the metric axioms"]
     else:
-        print(f"invalid: {len(report.violations)} violation(s)")
-        for v in report.violations:
-            where = ", ".join(v.where)
-            print(f"  {v.axiom} at ({where}): {_fmt(v.lhs)} vs {_fmt(v.rhs)}")
-    return 0 if report.ok else 1
+        text = [f"invalid: {len(report.violations)} violation(s)"] + [
+            f"  {v.axiom} at ({', '.join(v.where)}): {_fmt(v.lhs)} vs {_fmt(v.rhs)}"
+            for v in report.violations
+        ]
+    return doc, text, report.ok
 
 
-def cmd_stats(args) -> int:
-    space = _load(args.file, args.format, args.tolerance)
+def cmd_stats(args, space):
     st = space_stats(space)
-    if args.json:
-        _emit_json(
-            {
-                "nearness": st.nearness,
-                "slack": st.slack,
-                "diameter": st.diameter,
-                "nearness_per_point": st.nearness_per_point,
-            }
-        )
-    else:
-        print(f"points:   {space.n}")
-        print(f"nearness: {_fmt(st.nearness)}")
-        print(f"slack:    {_fmt(st.slack)}")
-        print(f"diameter: {_fmt(st.diameter)}")
-        for p in space.points:
-            print(f"  nearness({p}) = {_fmt(st.nearness_per_point[p])}")
-    return 0
+    doc = {
+        "nearness": st.nearness,
+        "slack": st.slack,
+        "diameter": st.diameter,
+        "nearness_per_point": st.nearness_per_point,
+    }
+    text = [
+        f"points:   {space.n}",
+        f"nearness: {_fmt(st.nearness)}",
+        f"slack:    {_fmt(st.slack)}",
+        f"diameter: {_fmt(st.diameter)}",
+    ] + [f"  nearness({p}) = {_fmt(x)}" for p, x in st.nearness_per_point.items()]
+    return doc, text, True
 
 
-def cmd_graph(args) -> int:
-    space = graph_metric(load_graph(args.file))
-    if args.tolerance is not None:
-        space = FiniteMetricSpace(space.points, space.dist, args.tolerance)
-    _emit_json(space_to_json(space))
-    return 0
+def cmd_graph(args, space):
+    # The metric JSON is this command's text output as well.
+    doc = space_to_json(space)
+    return doc, [_dump(doc)], True
 
 
-def _emit_space(space: FiniteMetricSpace, as_json: bool) -> None:
-    if as_json:
-        _emit_json(space_to_json(space))
-    else:
-        _print_table(space)
+def cmd_gravitate(args, space):
+    return _space_result(gravitational(space, args.t))
 
 
-def cmd_gravitate(args) -> int:
-    space = _load(args.file, args.format, args.tolerance)
-    _emit_space(gravitational(space, args.t), args.json)
-    return 0
+def cmd_squash(args, space):
+    return _space_result(squash(args.eta, space))
 
 
-def cmd_squash(args) -> int:
-    space = _load(args.file, args.format, args.tolerance)
-    _emit_space(squash(args.eta, space), args.json)
-    return 0
+def cmd_product(args, base, second):
+    return _space_result(lexicographic(base, second).space)
 
 
-def cmd_product(args) -> int:
-    base = _load(args.base, args.format, args.tolerance)
-    second = _load(args.second, args.format, args.tolerance)
-    product = lexicographic(base, second)
-    _emit_space(product.space, args.json)
-    return 0
-
-
-def cmd_dim(args) -> int:
-    space = _load(args.file, args.format, args.tolerance)
+def cmd_dim(args, space):
     result = metric_dimension(
         space,
         enumerate_all=args.all_bases,
         max_enumeration_points=args.max_enumeration_points,
     )
     doc = {"dimension": result.dimension, "basis": list(result.basis)}
+    text = [f"dimension: {result.dimension}", f"basis: {' '.join(result.basis)}"]
     if args.all_bases:
-        doc["all_bases"] = [list(b) for b in result.all_bases or ()]
+        doc["all_bases"] = bases = [list(b) for b in result.all_bases or ()]
+        text += [f"bases ({len(bases)}):"] + [f"  {' '.join(b)}" for b in bases]
     if args.greedy:
-        doc["greedy"] = list(greedy_generator(space))
-    if args.json:
-        _emit_json(doc)
-    else:
-        print(f"dimension: {result.dimension}")
-        print(f"basis: {' '.join(result.basis)}")
-        if args.all_bases:
-            print(f"bases ({len(doc['all_bases'])}):")
-            for b in doc["all_bases"]:
-                print(f"  {' '.join(b)}")
-        if args.greedy:
-            print(f"greedy: {' '.join(doc['greedy'])} (size {len(doc['greedy'])})")
-    return 0
+        doc["greedy"] = greedy = list(greedy_generator(space))
+        text.append(f"greedy: {' '.join(greedy)} (size {len(greedy)})")
+    return doc, text, True
 
 
-def cmd_twins(args) -> int:
-    space = _load(args.file, args.format, args.tolerance)
+def cmd_twins(args, space):
     partition = twin_classes(space)
-    if args.json:
-        _emit_json(
+    twins_free = all(len(c) == 1 for c in partition.classes)
+    doc = {
+        "classes": [list(c) for c in partition.classes],
+        "twins_free": twins_free,
+        "non_singleton": [
             {
-                "classes": [list(c) for c in partition.classes],
-                "twins_free": all(len(c) == 1 for c in partition.classes),
-                "non_singleton": [
-                    {
-                        "members": list(c),
-                        "gap": partition.gap[c],
-                        "nearness": partition.class_nearness[c],
-                    }
-                    for c in partition.non_singleton_classes
-                ],
+                "members": list(c),
+                "gap": partition.gap[c],
+                "nearness": partition.class_nearness[c],
             }
-        )
-    else:
-        print(f"classes: {len(partition.classes)}")
-        for c in partition.classes:
-            if len(c) == 1:
-                print(f"  {{{c[0]}}}")
-            else:
-                print(
-                    f"  {{{', '.join(c)}}}: gap={_fmt(partition.gap[c])} "
-                    f"nearness={_fmt(partition.class_nearness[c])}"
-                )
-        print(f"twins-free: {str(all(len(c) == 1 for c in partition.classes)).lower()}")
-    return 0
+            for c in partition.non_singleton_classes
+        ],
+    }
+    text = [f"classes: {len(partition.classes)}"]
+    for c in partition.classes:
+        if len(c) == 1:
+            text.append(f"  {{{c[0]}}}")
+        else:
+            text.append(
+                f"  {{{', '.join(c)}}}: gap={_fmt(partition.gap[c])} "
+                f"nearness={_fmt(partition.class_nearness[c])}"
+            )
+    text.append(f"twins-free: {str(twins_free).lower()}")
+    return doc, text, True
 
 
-def cmd_special(args) -> int:
-    base = _load(args.base, args.format, args.tolerance)
-    second = _load(args.second, args.format, args.tolerance)
+def cmd_special(args, base, second):
     special = special_classes(
         base, second, max_enumeration_points=args.max_enumeration_points
     )
-    if args.json:
-        _emit_json(
-            {
-                "special_classes": [list(c) for c in special.member_classes],
-                "evidence": {
-                    ",".join(cls): {
-                        member: [
-                            {"basis": list(chk.basis), "witness": chk.witness}
-                            for chk in checks
-                        ]
-                        for member, checks in per_member.items()
-                    }
-                    for cls, per_member in special.evidence.items()
-                },
+    doc = {
+        "special_classes": [list(c) for c in special.member_classes],
+        "evidence": {
+            ",".join(cls): {
+                member: [
+                    {"basis": list(chk.basis), "witness": chk.witness} for chk in checks
+                ]
+                for member, checks in per_member.items()
             }
-        )
-    else:
-        print(f"special classes: {len(special.member_classes)}")
-        for c in special.member_classes:
-            print(f"  {{{', '.join(c)}}}")
-        for cls, per_member in special.evidence.items():
-            status = "in" if cls in special.member_classes else "out"
-            print(f"  class {{{', '.join(cls)}}} [{status}]:")
-            for member, checks in per_member.items():
-                for chk in checks:
-                    witness = chk.witness if chk.witness is not None else "none"
-                    print(
-                        f"    member {member}, basis {{{', '.join(chk.basis)}}}: "
-                        f"witness {witness}"
-                    )
-    return 0
-
-
-def _print_report(report) -> None:
-    if report.skipped:
-        print(f"{report.theorem}: SKIP ({report.witnesses.get('reason', '')})")
-    else:
-        verdict = "PASS" if report.passed else "FAIL"
-        print(f"{report.theorem}: {verdict} (lhs={report.lhs}, rhs={report.rhs})")
-
-
-def cmd_verify(args) -> int:
-    base = _load(args.base, args.format, args.tolerance)
-    second = _load(args.second, args.format, args.tolerance)
-    kind = args.theorem
-    if kind == "dimension":
-        reports = [
-            verify_dimension(base, second, args.max_product_points, args.max_enumeration_points)
+            for cls, per_member in special.evidence.items()
+        },
+    }
+    text = [f"special classes: {len(special.member_classes)}"]
+    text += [f"  {{{', '.join(c)}}}" for c in special.member_classes]
+    for cls, per_member in special.evidence.items():
+        status = "in" if cls in special.member_classes else "out"
+        text.append(f"  class {{{', '.join(cls)}}} [{status}]:")
+        text += [
+            f"    member {member}, basis {{{', '.join(chk.basis)}}}: "
+            f"witness {chk.witness if chk.witness is not None else 'none'}"
+            for member, checks in per_member.items()
+            for chk in checks
         ]
-    elif kind == "diameter":
-        reports = [verify_diameter(base, second)]
-    elif kind == "squash":
-        reports = [verify_squash(base, second, args.max_product_points)]
-    elif kind == "corollaries":
-        reports = verify_corollaries(base, second, args.max_product_points)
-    else:
-        reports = verify_all(
-            base, second, args.max_product_points, args.max_enumeration_points
-        )
-    if args.json:
-        _emit_json([r.to_json_dict() for r in reports])
-    else:
-        for r in reports:
-            _print_report(r)
-    return 0 if all(r.passed is not False for r in reports) else 1
+    return doc, text, True
 
 
-def cmd_corpus(args) -> int:
+def _verdict(report) -> str:
+    return "SKIP" if report.skipped else "PASS" if report.passed else "FAIL"
+
+
+# The checks behind ``verify --theorem``; each gives a list of reports.
+_THEOREMS = {
+    "dimension": lambda a, x, y: [
+        verify_dimension(x, y, a.max_product_points, a.max_enumeration_points)
+    ],
+    "diameter": lambda a, x, y: [verify_diameter(x, y)],
+    "squash": lambda a, x, y: [verify_squash(x, y, a.max_product_points)],
+    "corollaries": lambda a, x, y: verify_corollaries(x, y, a.max_product_points),
+    "all": lambda a, x, y: verify_all(x, y, a.max_product_points, a.max_enumeration_points),
+}
+
+
+def cmd_verify(args, base, second):
+    reports = _THEOREMS[args.theorem](args, base, second)
+    text = []
+    for r in reports:
+        detail = r.witnesses.get("reason", "") if r.skipped else f"lhs={r.lhs}, rhs={r.rhs}"
+        text.append(f"{r.theorem}: {_verdict(r)} ({detail})")
+    ok = all(r.passed is not False for r in reports)
+    return [r.to_json_dict() for r in reports], text, ok
+
+
+def cmd_corpus(args):
     pairs = random_pairs(args.seed, args.count, args.max_product_points)
     failures = 0
     checks = 0
     docs = []
+    text = []
     for i, (base, second) in enumerate(pairs, start=1):
         reports = verify_all(
             base, second, args.max_product_points, args.max_enumeration_points
         )
         run = [r for r in reports if not r.skipped]
         checks += len(run)
-        bad = [r for r in run if not r.passed]
-        failures += len(bad)
-        if args.json:
-            docs.append(
-                {
-                    "pair": i,
-                    "base_points": base.n,
-                    "second_points": second.n,
-                    "reports": [r.to_json_dict() for r in reports],
-                }
-            )
-        else:
-            summary = ", ".join(
-                f"{r.theorem} {'SKIP' if r.skipped else ('PASS' if r.passed else 'FAIL')}"
-                for r in reports
-            )
-            print(f"pair {i:02d} |X|={base.n} |Y|={second.n}: {summary}")
-    if args.json:
-        _emit_json({"pairs": docs, "checks": checks, "failures": failures})
-    else:
-        print(f"summary: {len(pairs)} pairs, {checks} checks, {failures} failure(s)")
-    return 0 if failures == 0 else 1
+        failures += sum(not r.passed for r in run)
+        docs.append(
+            {
+                "pair": i,
+                "base_points": base.n,
+                "second_points": second.n,
+                "reports": [r.to_json_dict() for r in reports],
+            }
+        )
+        summary = ", ".join(f"{r.theorem} {_verdict(r)}" for r in reports)
+        text.append(f"pair {i:02d} |X|={base.n} |Y|={second.n}: {summary}")
+    text.append(f"summary: {len(pairs)} pairs, {checks} checks, {failures} failure(s)")
+    return {"pairs": docs, "checks": checks, "failures": failures}, text, failures == 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,65 +282,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check the metric axioms")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+    def add(name, func, help, spaces=("file",), guarded=False, kind=None, finite=True):
+        """One subcommand; main loads the positionals named in ``spaces``."""
+        parents = [common, guards] if guarded else [common]
+        p = sub.add_parser(name, parents=parents, help=help)
+        for dest in spaces:
+            p.add_argument(dest)
+        p.set_defaults(func=func, spaces=spaces, kind=kind, finite=finite)
+        return p
 
-    p = sub.add_parser("stats", parents=[common], help="nearness, slack, diameter")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("graph", parents=[common], help="edge list to metric JSON")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("gravitate", parents=[common], help="cap all distances at 2t")
-    p.add_argument("file")
+    # validate diagnoses broken tables, non-finite ones included.
+    add("validate", cmd_validate, "check the metric axioms", finite=False)
+    add("stats", cmd_stats, "nearness, slack, diameter")
+    # graph reads an edge list whatever the file's extension or --format.
+    add("graph", cmd_graph, "edge list to metric JSON", kind="edges")
+    p = add("gravitate", cmd_gravitate, "cap all distances at 2t")
     p.add_argument("--t", type=float, required=True, help="gravitation constant, t > 0")
-    p.set_defaults(func=cmd_gravitate)
-
-    p = sub.add_parser("squash", parents=[common], help="bounded transform eta*d/(eta+d)")
-    p.add_argument("file")
+    p = add("squash", cmd_squash, "bounded transform eta*d/(eta+d)")
     p.add_argument("--eta", type=float, required=True, help="bound parameter, eta > 0")
-    p.set_defaults(func=cmd_squash)
-
-    p = sub.add_parser("product", parents=[common], help="lexicographic product of two spaces")
-    p.add_argument("base")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("dim", parents=[common, guards], help="exact metric dimension")
-    p.add_argument("file")
+    pair = ("base", "second")
+    add("product", cmd_product, "lexicographic product of two spaces", spaces=pair)
+    p = add("dim", cmd_dim, "exact metric dimension", guarded=True)
     p.add_argument("--greedy", action="store_true", help="also report the greedy resolving set")
     p.add_argument("--all-bases", action="store_true", help="enumerate every minimum basis")
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("twins", parents=[common], help="twin equivalence classes")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_twins)
-
-    p = sub.add_parser(
-        "special", parents=[common, guards], help="twin classes passing the far-witness test"
-    )
-    p.add_argument("base")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_special)
-
-    p = sub.add_parser("verify", parents=[common, guards], help="check the product identities")
-    p.add_argument("base")
-    p.add_argument("second")
-    p.add_argument(
-        "--theorem",
-        choices=["dimension", "diameter", "squash", "corollaries", "all"],
-        default="all",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("corpus", parents=[common, guards], help="random verification sweep")
+    add("twins", cmd_twins, "twin equivalence classes")
+    special_help = "twin classes passing the far-witness test"
+    add("special", cmd_special, special_help, spaces=pair, guarded=True)
+    p = add("verify", cmd_verify, "check the product identities", spaces=pair, guarded=True)
+    p.add_argument("--theorem", choices=list(_THEOREMS), default="all")
+    p = add("corpus", cmd_corpus, "random verification sweep", spaces=(), guarded=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=30)
-    p.set_defaults(func=cmd_corpus)
-
     return parser
 
 
@@ -416,12 +323,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        kind = args.kind or args.format
+        spaces = [_load(getattr(args, d), kind, args.tolerance, args.finite) for d in args.spaces]
+        doc, text, ok = args.func(args, *spaces)
     except (OSError, ValueError, KeyError) as exc:
         # KeyError wraps its message in quotes when stringified.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    print(_dump(doc) if args.json else "\n".join(text))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .space import (
     nearness_point,
     slack,
 )
-from .twins import is_twins_free, special_classes, twin_classes
+from .twins import SpecialClassSet, is_twins_free, special_classes, twin_classes
 
 DEFAULT_PRODUCT_CAP = 36
 
@@ -93,6 +93,15 @@ def fiber_dimensions(
     }
 
 
+def _closed_form(
+    base: FiniteMetricSpace, second: FiniteMetricSpace, max_enumeration_points: int
+) -> tuple[dict[str, int], SpecialClassSet, int]:
+    """The fiber dimensions, the special twin classes, and the closed form they give."""
+    dims = fiber_dimensions(base, second)
+    special = special_classes(base, second, max_enumeration_points)
+    return dims, special, sum(dims.values()) + sum(len(c) - 1 for c in special.member_classes)
+
+
 def formula_rhs(
     base: FiniteMetricSpace,
     second: FiniteMetricSpace,
@@ -103,9 +112,7 @@ def formula_rhs(
     Sum of the per-fiber dimensions, plus, for every special twin class, its
     size minus one.
     """
-    dims = fiber_dimensions(base, second)
-    special = special_classes(base, second, max_enumeration_points)
-    return sum(dims.values()) + sum(len(c) - 1 for c in special.member_classes)
+    return _closed_form(base, second, max_enumeration_points)[2]
 
 
 def verify_dimension(
@@ -118,9 +125,7 @@ def verify_dimension(
     _guard_product(base, second, max_product_points)
     product = lexicographic(base, second)
     solved = metric_dimension(product.space)
-    dims = fiber_dimensions(base, second)
-    special = special_classes(base, second, max_enumeration_points)
-    rhs = sum(dims.values()) + sum(len(c) - 1 for c in special.member_classes)
+    dims, special, rhs = _closed_form(base, second, max_enumeration_points)
     witnesses = {
         "product_points": product.space.n,
         "product_basis": list(solved.basis),
@@ -362,11 +367,19 @@ def random_metric_space(
 def random_pairs(
     seed: int, count: int, max_product_points: int = DEFAULT_PRODUCT_CAP
 ) -> list[tuple[FiniteMetricSpace, FiniteMetricSpace]]:
-    """Seeded random weighted pairs whose products stay inside the size guard."""
+    """Seeded random weighted pairs whose products stay inside the size guard.
+
+    Each factor has 2 to 6 points, so the guard must allow at least 2x2.
+    """
+    if max_product_points < 4:
+        raise ValueError(
+            f"random pairs need a max-product-points guard of at least 4, "
+            f"got {max_product_points}"
+        )
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):
-        n_base = int(rng.integers(2, 7))
+        n_base = int(rng.integers(2, min(6, max_product_points // 2) + 1))
         n_second = int(rng.integers(2, min(6, max_product_points // n_base) + 1))
         base = random_metric_space(rng, n_base, prefix="x")
         second = random_metric_space(rng, n_second, prefix="y")

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +190,20 @@ class TestCorpus:
         assert "3 pairs" in out
         assert "0 failure(s)" in out
 
+    def test_small_guard_keeps_products_inside_it(self, capsys):
+        argv = ["corpus", "--seed", "1", "--count", "10", "--max-product-points", "8", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        pairs = json.loads(out)["pairs"]
+        assert len(pairs) == 10
+        assert all(p["base_points"] * p["second_points"] <= 8 for p in pairs)
+
+    def test_guard_below_two_by_two_exits_two(self, capsys):
+        code, out, err = run(capsys, ["corpus", "--seed", "1", "--max-product-points", "3"])
+        assert code == 2
+        assert out == ""
+        assert "at least 4" in err
+
     def test_seeded_output_is_identical(self, capsys):
         argv = ["corpus", "--seed", "9", "--count", "2", "--json"]
         _, first, _ = run(capsys, argv)
@@ -224,9 +239,121 @@ class TestErrors:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["dim", "{nan}"], "nan.json"),
+            (["stats", "{inf}"], "inf.json"),
+            (["verify", "{k2}", "{inf}"], "inf.json"),
+        ],
+        ids=["dim-nan", "stats-inf", "verify-inf"],
+    )
+    def test_non_finite_table_exit_code(self, capsys, tmp_path, k2_json, argv, bad):
+        (tmp_path / "nan.json").write_text('{"points": ["a", "b"], "d": [[0, NaN], [NaN, 0]]}')
+        (tmp_path / "inf.json").write_text(
+            '{"points": ["a", "b"], "d": [[0, Infinity], [Infinity, 0]]}'
+        )
+        paths = {"nan": tmp_path / "nan.json", "inf": tmp_path / "inf.json", "k2": k2_json}
+        code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err and bad in err
+
+    def test_validate_reports_non_finite_entries(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"points": ["a", "b"], "d": [[0, NaN], [1, 0]]}')
+        code, out, _ = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert out.splitlines() == ["invalid: 1 violation(s)", "  finiteness at (a, b): nan vs 0"]
+
+    def test_error_after_some_pairs_prints_nothing(self, capsys):
+        # Pair 4 of this sweep has a twin-class base whose fiber needs a
+        # basis enumeration past the cap; the first three pairs pass.
+        argv = ["corpus", "--seed", "5", "--count", "30", "--max-enumeration-points", "2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "capped at 2 points" in err
+
     def test_format_override(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text(P4_EDGES)
         code, out, _ = run(capsys, ["dim", str(path), "--format", "edges"])
         assert code == 0
         assert "dimension: 1" in out
+
+
+# Pinned output of every subcommand, in text and --json mode, with the exit
+# codes 1 and 2. Each command runs with the working directory set to
+# tests/golden, so the relative input paths in argv and in error messages
+# stay the same on every machine. A case's stdout is pinned in NAME.out and
+# its stderr in NAME.err where one exists; argparse's own usage errors have
+# no .err file, because their wording differs between Python versions.
+# To regenerate a file after an intended change, run the command from
+# tests/golden, for example
+#   PYTHONPATH=../../src python -m lexmetric.cli dim c5.edges --json > dim-c5-json.out
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = [
+    ("validate-k2", "validate k2.json", 0),
+    ("validate-k2-json", "validate k2.json --json", 0),
+    ("validate-p4", "validate p4.edges", 0),
+    ("validate-nonmetric", "validate nonmetric.json", 1),
+    ("validate-nonmetric-json", "validate nonmetric.json --json", 1),
+    ("stats-w3", "stats w3.json", 0),
+    ("stats-w3-json", "stats w3.json --json", 0),
+    ("stats-c5", "stats c5.edges", 0),
+    ("stats-p4-tolerance", "stats p4.edges --tolerance 0.5", 0),
+    ("graph-p4", "graph p4.edges", 0),
+    ("graph-k4-json", "graph k4.edges --json --tolerance 0.001", 0),
+    ("gravitate-p4", "gravitate p4.edges --t 1", 0),
+    ("gravitate-p4-json", "gravitate p4.edges --t 1 --json", 0),
+    ("squash-w3", "squash w3.json --eta 1", 0),
+    ("squash-w3-json", "squash w3.json --eta 1 --json", 0),
+    ("product-k2-w3", "product k2.json w3.json", 0),
+    ("product-k2-w3-json", "product k2.json w3.json --json", 0),
+    ("dim-p4", "dim p4.edges", 0),
+    ("dim-c5", "dim c5.edges --greedy --all-bases", 0),
+    ("dim-c5-json", "dim c5.edges --greedy --all-bases --json", 0),
+    ("dim-k4-json", "dim k4.edges --all-bases --json", 0),
+    ("dim-w3-format", "dim w3.json --format json --greedy", 0),
+    ("twins-k2", "twins k2.json", 0),
+    ("twins-k2-json", "twins k2.json --json", 0),
+    ("twins-k4", "twins k4.edges", 0),
+    ("twins-p4-json", "twins p4.edges --json", 0),
+    ("special-k2-k2", "special k2.json k2.json", 0),
+    ("special-k2-k2-json", "special k2.json k2.json --json", 0),
+    ("special-k4-w3", "special k4.edges w3.json", 0),
+    ("special-k4-w3-json", "special k4.edges w3.json --json", 0),
+    ("verify-k2-k2", "verify k2.json k2.json", 0),
+    ("verify-k2-k2-json", "verify k2.json k2.json --json", 0),
+    ("verify-p4-k2", "verify p4.edges k2.json", 0),
+    ("verify-k4-w3-json", "verify k4.edges w3.json --json", 0),
+    ("verify-p4-c5-dimension", "verify p4.edges c5.edges --theorem dimension", 0),
+    ("verify-k2-w3-diameter", "verify k2.json w3.json --theorem diameter", 0),
+    ("verify-c5-k2-squash", "verify c5.edges k2.json --theorem squash --json", 0),
+    ("verify-k4-k2-corollaries", "verify k4.edges k2.json --theorem corollaries", 0),
+    ("verify-nonmetric-k2", "verify nonmetric.json k2.json", 1),
+    ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 1),
+    ("corpus-5", "corpus --seed 5 --count 30", 0),
+    ("corpus-9-json", "corpus --seed 9 --count 3 --json", 0),
+    ("error-missing-file", "stats missing.json", 2),
+    ("error-bad-edges", "dim bad.edges", 2),
+    ("error-graph-reads-edges", "graph k2.json", 2),
+    ("error-size-guard", "verify k4.edges c5.edges --max-product-points 10", 2),
+    ("error-enumeration-cap", "dim c5.edges --all-bases --max-enumeration-points 4", 2),
+    ("error-eta-inf", "squash p4.edges --eta inf", 2),
+    ("error-tolerance-inf", "stats p4.edges --tolerance inf", 2),
+    ("error-unknown-command", "frobnicate", 2),
+    ("error-no-arguments", "", 2),
+    ("error-gravitate-needs-t", "gravitate p4.edges", 2),
+]
+
+
+@pytest.mark.parametrize("name, command, code", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_golden_output(capsys, monkeypatch, name, command, code):
+    monkeypatch.chdir(GOLDEN_DIR)
+    got_code, out, err = run(capsys, command.split())
+    assert (got_code, out) == (code, (GOLDEN_DIR / f"{name}.out").read_text())
+    err_file = GOLDEN_DIR / f"{name}.err"
+    if err_file.exists():
+        assert err == err_file.read_text()

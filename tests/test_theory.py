@@ -180,6 +180,16 @@ class TestCorpusGenerators:
             assert np.array_equal(b1.dist, b2.dist)
         assert all(a.n * b.n <= 36 for a, b in first)
 
+    @pytest.mark.parametrize("guard", range(4, 13))
+    def test_random_pairs_fit_small_guards(self, guard):
+        pairs = random_pairs(1, 20, guard)
+        assert len(pairs) == 20
+        assert all(2 <= a.n and 2 <= b.n and a.n * b.n <= guard for a, b in pairs)
+
+    def test_random_pairs_reject_a_guard_below_two_by_two(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            random_pairs(1, 3, 3)
+
 
 def small_corpus():
     bases = connected_graph_spaces(2, 3, prefix="x")
