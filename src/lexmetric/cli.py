@@ -18,11 +18,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .construct import graph_metric, gravitational, lexicographic, load_graph, squash
 from .resolving import greedy_generator, metric_dimension
-from .space import FiniteMetricSpace, load_space, space_stats, space_to_json, validate
+from .space import FiniteMetricSpace, _require_finite, load_space, space_stats, space_to_json, validate
 from .theory import (
     random_pairs,
     verify_all,
@@ -52,8 +50,11 @@ def _load(path: str, kind: str | None, tolerance: float | None, finite: bool) ->
     space = graph_metric(load_graph(path)) if kind == "edges" else load_space(path)
     if tolerance is not None:
         space = FiniteMetricSpace(space.points, space.dist, tolerance, name=space.name)
-    if finite and not np.isfinite(space.dist).all():
-        raise ValueError(f"{path}: distance table has non-finite entries")
+    if finite:
+        try:
+            _require_finite(space)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return space
 
 

@@ -46,8 +46,10 @@ class Graph:
                 raise ValueError(f"self-loop at {u!r}")
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
-            if not w > 0:
-                raise ValueError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(
+                    f"edge ({u!r}, {v!r}) has non-positive or non-finite weight {w}"
+                )
             edges.append((u, v, w))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(edges))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, _require_finite
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -106,6 +106,7 @@ def _distinguisher_sets(
     Each set holds the label-sorted positions of the points that tell the
     pair apart; an indistinguishable pair gets an empty set.
     """
+    _require_finite(space)
     order = sorted(range(space.n), key=space.points.__getitem__)
     labels = [space.points[i] for i in order]
     d = space.dist[np.ix_(order, order)]
@@ -341,6 +342,7 @@ def metric_dimension(
     """
     if method not in ("bnb", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
+    _require_finite(space)
     candidates = sorted(space.points)
     if enumerate_all and space.n > max_enumeration_points:
         raise EnumerationCapExceeded(

@@ -81,6 +81,17 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace(n={self.n}, points={list(self.points)!r}{tag})"
 
 
+def _require_finite(space: FiniteMetricSpace) -> None:
+    """Raise on a NaN or infinite entry: no statistic or solve means anything there."""
+    if not np.isfinite(space.dist).all():
+        raise ValueError("distance table has non-finite entries")
+
+
+def _table_key(space: FiniteMetricSpace) -> tuple:
+    """What a solve on ``space`` depends on: its labels, tolerance and table."""
+    return space.points, space.tolerance, space.dist.tobytes()
+
+
 class Violation(NamedTuple):
     """One broken axiom: which rule, the points involved, the two compared values."""
 

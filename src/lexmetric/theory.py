@@ -9,28 +9,30 @@ value; requests past the size guards raise instead of degrading.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .construct import (
     DisconnectedGraphError,
     Graph,
+    ProductSpace,
     graph_metric,
     gravitational,
     lexicographic,
     squash,
 )
-from .resolving import DEFAULT_ENUMERATION_CAP, metric_dimension
+from .resolving import DEFAULT_ENUMERATION_CAP, ResolveResult, metric_dimension
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
+    SpaceStats,
+    _table_key,
     diameter,
-    nearness,
-    nearness_point,
-    slack,
+    space_stats,
 )
-from .twins import SpecialClassSet, is_twins_free, special_classes, twin_classes
+from .twins import SpecialClassSet, TwinPartition, _special_classes, twin_classes
 
 DEFAULT_PRODUCT_CAP = 36
 
@@ -72,34 +74,161 @@ def _table(space: FiniteMetricSpace) -> list[list[float]]:
     return [[float(x) for x in row] for row in space.dist]
 
 
-def _guard_product(
-    base: FiniteMetricSpace, second: FiniteMetricSpace, max_product_points: int
-) -> None:
-    total = base.n * second.n
-    if total > max_product_points:
-        raise SizeGuardExceeded(
-            f"product has {total} points, past the max-product-points guard "
-            f"of {max_product_points}"
-        )
+@dataclass(eq=False)
+class _Pair:
+    """One verified pair: each object the reports share is computed once.
+
+    Holds the base statistics, the product and its solve, the base's twin
+    partition, and one plain solve per distinct table, so equal fibers and a
+    fiber equal to ``second`` are solved once. Nothing outlives the pair.
+    """
+
+    base: FiniteMetricSpace
+    second: FiniteMetricSpace
+    max_product_points: int = DEFAULT_PRODUCT_CAP
+    max_enumeration_points: int = DEFAULT_ENUMERATION_CAP
+    _solves: dict[tuple, int] = field(default_factory=dict)
+
+    def _guard(self) -> None:
+        total = self.base.n * self.second.n
+        if total > self.max_product_points:
+            raise SizeGuardExceeded(
+                f"product has {total} points, past the max-product-points guard "
+                f"of {self.max_product_points}"
+            )
+
+    def _dimension(self, space: FiniteMetricSpace) -> int:
+        key = _table_key(space)
+        if key not in self._solves:
+            self._solves[key] = metric_dimension(space).dimension
+        return self._solves[key]
+
+    @cached_property
+    def stats(self) -> SpaceStats:
+        return space_stats(self.base)
+
+    @cached_property
+    def product(self) -> ProductSpace:
+        return lexicographic(self.base, self.second)
+
+    @cached_property
+    def product_solve(self) -> ResolveResult:
+        self._guard()
+        return metric_dimension(self.product.space)
+
+    @cached_property
+    def partition(self) -> TwinPartition:
+        return twin_classes(self.base)
+
+    @cached_property
+    def fiber_dimensions(self) -> dict[str, int]:
+        return {
+            x: self._dimension(gravitational(self.second, near))
+            for x, near in self.stats.nearness_per_point.items()
+        }
+
+    @cached_property
+    def special(self) -> SpecialClassSet:
+        return _special_classes(self.base, self.second, self.partition, self.max_enumeration_points)
+
+    @cached_property
+    def rhs(self) -> int:
+        excess = sum(len(c) - 1 for c in self.special.member_classes)
+        return sum(self.fiber_dimensions.values()) + excess
+
+    def dimension_report(self) -> VerificationReport:
+        solved = self.product_solve
+        witnesses = {
+            "product_points": self.product.space.n,
+            "product_basis": list(solved.basis),
+            "fiber_dimensions": self.fiber_dimensions,
+            "special_classes": [list(c) for c in self.special.member_classes],
+            "twin_classes": [list(c) for c in self.partition.classes],
+            "base_points": list(self.base.points),
+            "base_table": _table(self.base),
+            "second_points": list(self.second.points),
+            "second_table": _table(self.second),
+        }
+        lhs, rhs = solved.dimension, self.rhs
+        return VerificationReport("dimension", lhs, rhs, lhs == rhs, witnesses)
+
+    def diameter_report(self) -> VerificationReport:
+        base, second, stats = self.base, self.second, self.stats
+        lhs = diameter(self.product.space)
+        rhs = max(stats.diameter, min(2.0 * stats.slack, diameter(second)))
+        tol = max(base.tolerance, second.tolerance)
+        witnesses = {
+            "base_diameter": stats.diameter,
+            "base_slack": stats.slack,
+            "second_diameter": diameter(second),
+            "base_points": list(base.points),
+            "base_table": _table(base),
+            "second_points": list(second.points),
+            "second_table": _table(second),
+        }
+        return VerificationReport("diameter", lhs, rhs, bool(abs(lhs - rhs) <= tol), witnesses)
+
+    def corollary_reports(self) -> list[VerificationReport]:
+        if all(len(c) == 1 for c in self.partition.classes):
+            lhs, dims = self.product_solve.dimension, dict(self.fiber_dimensions)
+            rhs = sum(dims.values())
+            witnesses = {"fiber_dimensions": dims, "product_points": self.product.space.n}
+            twins_free = VerificationReport("corollary-twins-free", lhs, rhs, lhs == rhs, witnesses)
+        else:
+            reason = {"reason": "base space has a non-singleton twin class"}
+            twins_free = VerificationReport(
+                "corollary-twins-free", None, None, None, reason, skipped=True
+            )
+
+        second_diameter, near = diameter(self.second), self.stats.nearness
+        if second_diameter < near:
+            lhs = self.product_solve.dimension
+            dim_second = self._dimension(self.second)
+            rhs = self.base.n * dim_second
+            witnesses = {
+                "second_dimension": dim_second,
+                "base_size": self.base.n,
+                "second_diameter": second_diameter,
+                "base_nearness": near,
+            }
+            small = VerificationReport("corollary-small-diameter", lhs, rhs, lhs == rhs, witnesses)
+        else:
+            reason = {
+                "reason": "second factor diameter is not below the base nearness",
+                "second_diameter": second_diameter,
+                "base_nearness": near,
+            }
+            small = VerificationReport(
+                "corollary-small-diameter", None, None, None, reason, skipped=True
+            )
+        return [twins_free, small]
+
+    def squash_report(self) -> VerificationReport:
+        self._guard()
+        near = self.stats.nearness
+        squashed = squash(near, self.second)
+        product = lexicographic(self.base, squashed)
+        lhs = metric_dimension(product.space).dimension
+        dim_second = self._dimension(self.second)
+        dim_squashed = self._dimension(squashed)
+        rhs = self.base.n * dim_second
+        passed = lhs == rhs and lhs == self.base.n * dim_squashed
+        witnesses = {
+            "base_nearness": near,
+            "second_dimension": dim_second,
+            "squashed_dimension": dim_squashed,
+            "squashed_diameter": diameter(squashed),
+            "squashed_diameter_below_nearness": bool(diameter(squashed) < near),
+            "product_points": product.space.n,
+        }
+        return VerificationReport("squash", lhs, rhs, passed, witnesses)
 
 
 def fiber_dimensions(
     base: FiniteMetricSpace, second: FiniteMetricSpace
 ) -> dict[str, int]:
     """Exact dimension of each fiber: ``second`` capped per base point."""
-    return {
-        x: metric_dimension(gravitational(second, nearness_point(base, x))).dimension
-        for x in base.points
-    }
-
-
-def _closed_form(
-    base: FiniteMetricSpace, second: FiniteMetricSpace, max_enumeration_points: int
-) -> tuple[dict[str, int], SpecialClassSet, int]:
-    """The fiber dimensions, the special twin classes, and the closed form they give."""
-    dims = fiber_dimensions(base, second)
-    special = special_classes(base, second, max_enumeration_points)
-    return dims, special, sum(dims.values()) + sum(len(c) - 1 for c in special.member_classes)
+    return _Pair(base, second).fiber_dimensions
 
 
 def formula_rhs(
@@ -112,7 +241,7 @@ def formula_rhs(
     Sum of the per-fiber dimensions, plus, for every special twin class, its
     size minus one.
     """
-    return _closed_form(base, second, max_enumeration_points)[2]
+    return _Pair(base, second, max_enumeration_points=max_enumeration_points).rhs
 
 
 def verify_dimension(
@@ -122,42 +251,14 @@ def verify_dimension(
     max_enumeration_points: int = DEFAULT_ENUMERATION_CAP,
 ) -> VerificationReport:
     """Product dimension: exact solver on the built product vs the closed form."""
-    _guard_product(base, second, max_product_points)
-    product = lexicographic(base, second)
-    solved = metric_dimension(product.space)
-    dims, special, rhs = _closed_form(base, second, max_enumeration_points)
-    witnesses = {
-        "product_points": product.space.n,
-        "product_basis": list(solved.basis),
-        "fiber_dimensions": dims,
-        "special_classes": [list(c) for c in special.member_classes],
-        "twin_classes": [list(c) for c in twin_classes(base).classes],
-        "base_points": list(base.points),
-        "base_table": _table(base),
-        "second_points": list(second.points),
-        "second_table": _table(second),
-    }
-    return VerificationReport("dimension", solved.dimension, rhs, solved.dimension == rhs, witnesses)
+    return _Pair(base, second, max_product_points, max_enumeration_points).dimension_report()
 
 
 def verify_diameter(
     base: FiniteMetricSpace, second: FiniteMetricSpace
 ) -> VerificationReport:
     """Product diameter vs max of base diameter and the slack-capped second diameter."""
-    product = lexicographic(base, second)
-    lhs = diameter(product.space)
-    rhs = max(diameter(base), min(2.0 * slack(base), diameter(second)))
-    tol = max(base.tolerance, second.tolerance)
-    witnesses = {
-        "base_diameter": diameter(base),
-        "base_slack": slack(base),
-        "second_diameter": diameter(second),
-        "base_points": list(base.points),
-        "base_table": _table(base),
-        "second_points": list(second.points),
-        "second_table": _table(second),
-    }
-    return VerificationReport("diameter", lhs, rhs, bool(abs(lhs - rhs) <= tol), witnesses)
+    return _Pair(base, second).diameter_report()
 
 
 def verify_corollaries(
@@ -173,61 +274,7 @@ def verify_corollaries(
     second factor's dimension. A case whose precondition fails is reported
     as skipped, never as failed.
     """
-    reports: list[VerificationReport] = []
-
-    if is_twins_free(base):
-        _guard_product(base, second, max_product_points)
-        product = lexicographic(base, second)
-        lhs = metric_dimension(product.space).dimension
-        dims = fiber_dimensions(base, second)
-        rhs = sum(dims.values())
-        witnesses = {"fiber_dimensions": dims, "product_points": product.space.n}
-        reports.append(
-            VerificationReport("corollary-twins-free", lhs, rhs, lhs == rhs, witnesses)
-        )
-    else:
-        reports.append(
-            VerificationReport(
-                "corollary-twins-free",
-                None,
-                None,
-                None,
-                {"reason": "base space has a non-singleton twin class"},
-                skipped=True,
-            )
-        )
-
-    if diameter(second) < nearness(base):
-        _guard_product(base, second, max_product_points)
-        product = lexicographic(base, second)
-        lhs = metric_dimension(product.space).dimension
-        dim_second = metric_dimension(second).dimension
-        rhs = base.n * dim_second
-        witnesses = {
-            "second_dimension": dim_second,
-            "base_size": base.n,
-            "second_diameter": diameter(second),
-            "base_nearness": nearness(base),
-        }
-        reports.append(
-            VerificationReport("corollary-small-diameter", lhs, rhs, lhs == rhs, witnesses)
-        )
-    else:
-        reports.append(
-            VerificationReport(
-                "corollary-small-diameter",
-                None,
-                None,
-                None,
-                {
-                    "reason": "second factor diameter is not below the base nearness",
-                    "second_diameter": diameter(second),
-                    "base_nearness": nearness(base),
-                },
-                skipped=True,
-            )
-        )
-    return reports
+    return _Pair(base, second, max_product_points).corollary_reports()
 
 
 def verify_squash(
@@ -243,24 +290,7 @@ def verify_squash(
     dimension. All three quantities are computed independently and must
     agree.
     """
-    _guard_product(base, second, max_product_points)
-    near = nearness(base)
-    squashed = squash(near, second)
-    product = lexicographic(base, squashed)
-    lhs = metric_dimension(product.space).dimension
-    dim_second = metric_dimension(second).dimension
-    dim_squashed = metric_dimension(squashed).dimension
-    rhs = base.n * dim_second
-    passed = lhs == rhs and lhs == base.n * dim_squashed
-    witnesses = {
-        "base_nearness": near,
-        "second_dimension": dim_second,
-        "squashed_dimension": dim_squashed,
-        "squashed_diameter": diameter(squashed),
-        "squashed_diameter_below_nearness": bool(diameter(squashed) < near),
-        "product_points": product.space.n,
-    }
-    return VerificationReport("squash", lhs, rhs, passed, witnesses)
+    return _Pair(base, second, max_product_points).squash_report()
 
 
 def verify_all(
@@ -269,14 +299,14 @@ def verify_all(
     max_product_points: int = DEFAULT_PRODUCT_CAP,
     max_enumeration_points: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[VerificationReport]:
-    """Run every check for one pair, in a fixed order."""
-    reports = [
-        verify_dimension(base, second, max_product_points, max_enumeration_points),
-        verify_diameter(base, second),
+    """Run every check for one pair, in a fixed order, on one shared evaluation."""
+    pair = _Pair(base, second, max_product_points, max_enumeration_points)
+    return [
+        pair.dimension_report(),
+        pair.diameter_report(),
+        *pair.corollary_reports(),
+        pair.squash_report(),
     ]
-    reports.extend(verify_corollaries(base, second, max_product_points))
-    reports.append(verify_squash(base, second, max_product_points))
-    return reports
 
 
 def connected_graph_spaces(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .construct import gravitational
 from .resolving import DEFAULT_ENUMERATION_CAP, metric_dimension
-from .space import FiniteMetricSpace, nearness_point
+from .space import FiniteMetricSpace, _require_finite, _table_key, nearness_point
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
     with exact tables it always is, but tolerance chains could break it, and
     a broken partition raises rather than being silently repaired.
     """
+    _require_finite(space)
     twins = _twin_matrix(space)
     n = space.n
     parent = list(range(n))
@@ -151,8 +152,18 @@ def special_classes(
     enumeration cap and refuses larger second factors outright instead of
     approximating.
     """
+    return _special_classes(base, second, twin_classes(base), max_enumeration_points)
+
+
+def _special_classes(
+    base: FiniteMetricSpace,
+    second: FiniteMetricSpace,
+    partition: TwinPartition,
+    max_enumeration_points: int,
+) -> SpecialClassSet:
+    """:func:`special_classes` on a partition at hand; enumerates each distinct fiber once."""
     tol = max(base.tolerance, second.tolerance)
-    partition = twin_classes(base)
+    all_bases: dict[tuple, tuple[tuple[str, ...], ...]] = {}
     members_out: list[tuple[str, ...]] = []
     evidence: dict[tuple[str, ...], dict[str, tuple[BasisCheck, ...]]] = {}
     for cls in partition.non_singleton_classes:
@@ -161,13 +172,16 @@ def special_classes(
         qualifies = True
         for x in cls:
             fib = gravitational(second, nearness_point(base, x))
-            result = metric_dimension(
-                fib, enumerate_all=True, max_enumeration_points=max_enumeration_points
-            )
+            key = _table_key(fib)
+            if key not in all_bases:
+                result = metric_dimension(
+                    fib, enumerate_all=True, max_enumeration_points=max_enumeration_points
+                )
+                assert result.all_bases is not None
+                all_bases[key] = result.all_bases
             checks: list[BasisCheck] = []
             member_ok = True
-            assert result.all_bases is not None
-            for basis in result.all_bases:
+            for basis in all_bases[key]:
                 hits = [
                     z
                     for z in fib.points

@@ -259,6 +259,14 @@ class TestErrors:
         assert out == ""
         assert "non-finite" in err and bad in err
 
+    def test_infinite_edge_weight_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "inf.edges"
+        path.write_text("a b inf\n")
+        code, out, err = run(capsys, ["graph", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: edge ('a', 'b') has non-positive or non-finite weight inf\n"
+
     def test_validate_reports_non_finite_entries(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"points": ["a", "b"], "d": [[0, NaN], [1, 0]]}')

@@ -63,6 +63,10 @@ class TestGraphMetric:
         with pytest.raises(ValueError, match="non-positive"):
             Graph(("a", "b"), (("a", "b", 0.0),))
 
+    def test_rejects_infinite_weight(self):
+        with pytest.raises(ValueError, match="non-positive or non-finite weight inf"):
+            Graph(("a", "b"), (("a", "b", float("inf")),))
+
     def test_unweighted_distances_are_integral(self):
         s = graph_metric(cycle_graph(6))
         assert np.array_equal(s.dist, np.round(s.dist))

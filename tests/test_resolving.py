@@ -80,6 +80,26 @@ NEAR_DUPLICATE = FiniteMetricSpace(
 )
 
 
+# Points a and b are at NaN distance; without a boundary check the pair
+# reads as indistinguishable.
+NAN_PAIR = FiniteMetricSpace(("a", "b", "c"), [[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        metric_dimension,
+        lambda space: metric_dimension(space, method="enumeration"),
+        pair_table,
+        greedy_generator,
+    ],
+    ids=["bnb", "enumeration", "pair_table", "greedy_generator"],
+)
+def test_non_finite_table_raises(entry):
+    with pytest.raises(ValueError, match="distance table has non-finite entries"):
+        entry(NAN_PAIR)
+
+
 class TestCoordinates:
     def test_single_landmark(self):
         assert coordinates(P3, ("a",), "c") == (2.0,)

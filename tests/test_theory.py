@@ -232,6 +232,63 @@ def test_identities_hold_on_random_weighted_pairs():
         assert verify_diameter(base, second).passed
 
 
+TWIN_RICH = [(K3, s) for s in (K2, P3, P4, C4, HALF_PAIR)] + [(C4, K2), (C4, P3)]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [small_corpus, lambda: random_pairs(20260809, 8), lambda: TWIN_RICH],
+    ids=["small-exhaustive", "random-weighted", "twin-rich"],
+)
+def test_verify_all_matches_the_single_report_functions(pairs):
+    for base, second in pairs():
+        together = [r.to_json_dict() for r in verify_all(base, second)]
+        apart = [
+            verify_dimension(base, second),
+            verify_diameter(base, second),
+            *verify_corollaries(base, second),
+            verify_squash(base, second),
+        ]
+        assert together == [r.to_json_dict() for r in apart], (base.points, second.points)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Record every product built and every solve made by theory and twins."""
+    import lexmetric.theory as theory
+    import lexmetric.twins as twins
+
+    calls = {"products": 0, "solves": []}
+
+    def lexicographic(first, second):
+        calls["products"] += 1
+        return real_lexicographic(first, second)
+
+    def metric_dimension(space, enumerate_all=False, **kwargs):
+        calls["solves"].append((space.points, space.dist.tobytes(), enumerate_all))
+        return real_metric_dimension(space, enumerate_all=enumerate_all, **kwargs)
+
+    real_lexicographic, real_metric_dimension = theory.lexicographic, theory.metric_dimension
+    monkeypatch.setattr(theory, "lexicographic", lexicographic)
+    for module in (theory, twins):
+        monkeypatch.setattr(module, "metric_dimension", metric_dimension)
+    return calls
+
+
+@pytest.mark.parametrize("base, second", [(K3, P3), (C4, P4), (C4, HALF_PAIR)])
+def test_verify_all_builds_two_products_and_solves_each_table_once(counted, base, second):
+    # Unit-weight bases: every point has nearness 1, so every fiber is one table.
+    verify_all(base, second)
+    assert counted["products"] == 2
+    assert len(counted["solves"]) == len(set(counted["solves"]))
+
+
+def test_verify_all_past_the_guard_raises_before_any_solve(counted):
+    with pytest.raises(SizeGuardExceeded, match="42"):
+        verify_all(discrete_metric(7), discrete_metric(6))
+    assert counted == {"products": 0, "solves": []}
+
+
 def test_path_by_p4_partial_far_witness():
     """Hand-derived case where the far-witness test fails on one basis only.
 
@@ -244,7 +301,7 @@ def test_path_by_p4_partial_far_witness():
 
     from lexmetric.construct import gravitational
     from lexmetric.space import FiniteMetricSpace
-    from lexmetric.twins import special_classes
+    from lexmetric.twins import BasisCheck, special_classes
 
     second = FiniteMetricSpace(("p", "q", "r", "s"), graph_metric(path_graph(4)).dist)
     fib = metric_dimension(gravitational(second, 1.0), enumerate_all=True)
@@ -252,9 +309,10 @@ def test_path_by_p4_partial_far_witness():
     assert len(fib.all_bases) == 6
     special = special_classes(P3, second)
     assert special.member_classes == ()
-    checks = {c.basis: c.witness for c in special.evidence[("a", "c")]["a"]}
-    assert checks[("p", "q")] == "s"
-    assert checks[("p", "r")] is None
+    # The first member fails on its second basis, so the second member is never checked.
+    assert special.evidence == {
+        ("a", "c"): {"a": (BasisCheck(("p", "q"), "s"), BasisCheck(("p", "r"), None))}
+    }
     report = verify_dimension(P3, second)
     assert report.passed and report.rhs == 6
 

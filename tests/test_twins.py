@@ -60,6 +60,12 @@ class TestTwinClasses:
         assert partition.classes == (("c",), ("l1", "l2", "l3"))
         assert partition.gap[("l1", "l2", "l3")] == 2.0
 
+    def test_non_finite_table_raises(self):
+        inf = float("inf")
+        space = FiniteMetricSpace(("a", "b", "c"), [[0, 1, inf], [1, 0, inf], [inf, inf, 0]])
+        with pytest.raises(ValueError, match="distance table has non-finite entries"):
+            twin_classes(space)
+
     @pytest.mark.parametrize(
         "space", [P3, P4, C4, K3, star_space(3), discrete_metric(5)]
     )
@@ -142,6 +148,38 @@ class TestSpecialClasses:
         )
         assert diameter(tight) < nearness(K3)
         assert special_classes(K3, tight).member_classes == ()
+
+    # Two twin classes at different nearness, {a1, a2} at 1 and {b1, b2} at 2,
+    # so P4 gives them different fibers: capped at 2 and uncapped.
+    TWO_NEARNESS = FiniteMetricSpace(
+        ("a1", "a2", "b1", "b2"),
+        [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]],
+    )
+
+    @pytest.mark.parametrize(
+        "base, second, enumerations",
+        [(K3, P3, 1), (star_space(3), P3, 1), (C4, P3, 1), (TWO_NEARNESS, P4, 2)],
+        ids=["K3", "star3", "C4", "two-nearness"],
+    )
+    def test_one_basis_enumeration_per_distinct_fiber(
+        self, monkeypatch, base, second, enumerations
+    ):
+        import lexmetric.twins as twins
+
+        solved = []
+
+        def metric_dimension(space, **kwargs):
+            solved.append(kwargs["enumerate_all"])
+            return real(space, **kwargs)
+
+        real = twins.metric_dimension
+        monkeypatch.setattr(twins, "metric_dimension", metric_dimension)
+        special = special_classes(base, second)
+        assert solved == [True] * enumerations
+        # Every member of a qualifying class is still checked on its own.
+        assert special.member_classes
+        for cls in special.member_classes:
+            assert set(special.evidence[cls]) == set(cls)
 
     def test_enumeration_cap_propagates(self):
         with pytest.raises(EnumerationCapExceeded):
