@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, nearness, nearness_point
+from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, _require_finite, nearness, nearness_point
 
 PRODUCT_SEP = "|"
 
@@ -249,6 +249,8 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     the nearness of that fiber's base point. The per-point cap matters: a
     weighted base space with uneven nearness caps each fiber differently.
     """
+    _require_finite(first)
+    _require_finite(second)
     if not nearness(first) > 0:
         raise ValueError("the base space must have positive nearness")
     for label in first.points + second.points:

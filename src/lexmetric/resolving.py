@@ -3,17 +3,20 @@
 A subset resolves a space when the vector of distances to the subset is
 different for every point. Finding a minimum resolving set is a minimum
 hitting set problem: for each point pair, collect the points that tell the
-pair apart, then hit every one of those sets. The branch-and-bound solver
-here is exact. It first drops duplicate sets and supersets, then solves each
-group of sets that share no point with the others on its own. An independent
-subset-enumeration solver is kept behind a flag as its oracle.
+pair apart, then hit every one of those sets. Each set is an ``int``
+bitmask over the label-sorted points, from the packed distance comparison to
+the witness. The branch-and-bound solver here is exact. It first drops
+duplicate sets and supersets, then solves each group of sets that share no
+point with the others on its own. An independent subset-enumeration solver
+is kept behind a flag as its oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -98,27 +101,28 @@ def resolves(space: FiniteMetricSpace, subset) -> bool:
     return True
 
 
-def _distinguisher_sets(
-    space: FiniteMetricSpace,
-) -> tuple[list[str], list[frozenset[int]]]:
+def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
     """Label-sorted points and, per pair in label-sorted order, its separators.
 
-    Each set holds the label-sorted positions of the points that tell the
-    pair apart; an indistinguishable pair gets an empty set.
+    Each set is a bitmask whose bit ``k`` is set when the ``k``-th point in
+    label order tells the pair apart; an indistinguishable pair gets 0.
     """
     _require_finite(space)
     order = sorted(range(space.n), key=space.points.__getitem__)
     labels = [space.points[i] for i in order]
     d = space.dist[np.ix_(order, order)]
-    positions = range(space.n)
-    sets: list[frozenset[int]] = []
-    for i in range(space.n - 1):
-        masks = np.abs(d[i + 1 :] - d[i]) > space.tolerance
-        sets.extend(frozenset(itertools.compress(positions, m)) for m in masks.tolist())
-    return labels, sets
+    first, second = np.triu_indices(space.n, 1)
+    separates = np.abs(d[first] - d[second]) > space.tolerance
+    rows = np.packbits(separates, axis=1, bitorder="little")
+    return labels, [int.from_bytes(row, "little") for row in rows]
 
 
-def _require_distinguishable(labels: list[str], sets: list[frozenset[int]]) -> None:
+def _positions(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _require_distinguishable(labels: list[str], sets: list[int]) -> None:
     """Raise on the first empty distinguisher set, naming its pair."""
     for pair, s in zip(itertools.combinations(labels, 2), sets):
         if not s:
@@ -127,7 +131,7 @@ def _require_distinguishable(labels: list[str], sets: list[frozenset[int]]) -> N
             )
 
 
-def _greedy_hitting_set(sets: list[frozenset[int]]) -> list[int]:
+def _greedy_hitting_set(sets: list[int]) -> list[int]:
     """Greedy hitting set: repeatedly take the position hitting most open sets.
 
     Ties break toward the smaller position, i.e. the smaller label. Every set
@@ -136,10 +140,13 @@ def _greedy_hitting_set(sets: list[frozenset[int]]) -> list[int]:
     remaining = sets
     chosen: list[int] = []
     while remaining:
-        hits = Counter(itertools.chain.from_iterable(remaining))
-        best = min(hits, key=lambda p: (-hits[p], p))
+        # Summing bit p over the open sets gives p's hit count shifted left by p.
+        best = max(
+            _positions(reduce(or_, remaining)),
+            key=lambda p: sum(map((1 << p).__and__, remaining)) >> p,
+        )
         chosen.append(best)
-        remaining = [s for s in remaining if best not in s]
+        remaining = [m for m in remaining if not m >> best & 1]
     return sorted(chosen)
 
 
@@ -147,7 +154,7 @@ def pair_table(space: FiniteMetricSpace) -> PairTable:
     """Build the distinguisher sets for every unordered pair of points."""
     labels, sets = _distinguisher_sets(space)
     by_pair = {
-        pair: frozenset(labels[k] for k in s)
+        pair: frozenset(labels[k] for k in _positions(s))
         for pair, s in zip(itertools.combinations(labels, 2), sets)
     }
     in_point_order = (tuple(sorted(pair)) for pair in itertools.combinations(space.points, 2))
@@ -165,22 +172,22 @@ def greedy_generator(space: FiniteMetricSpace) -> tuple[str, ...]:
     return tuple(labels[i] for i in _greedy_hitting_set(sets))
 
 
-def _packing_lower_bound(sets: list[frozenset[int]]) -> int:
+def _packing_lower_bound(sets: list[int]) -> int:
     """Greedy packing of pairwise disjoint distinguisher sets.
 
     Disjoint sets need distinct hitters, so the packing size bounds the
     hitting set from below.
     """
-    used: set[int] = set()
+    used = 0
     bound = 0
-    for s in sorted(sets, key=lambda s: (len(s), sorted(s))):
-        if used.isdisjoint(s):
+    for m in sorted(sets, key=lambda m: (m.bit_count(), m)):
+        if not used & m:
             bound += 1
-            used |= s
+            used |= m
     return bound
 
 
-def _min_hitting_set_size(sets: list[frozenset[int]], budget: int) -> int | None:
+def _min_hitting_set_size(sets: list[int], budget: int) -> int | None:
     """Smallest hitting set size within ``budget``, or None if none fits.
 
     Branches on the pair with the smallest distinguisher set; a candidate
@@ -191,7 +198,7 @@ def _min_hitting_set_size(sets: list[frozenset[int]], budget: int) -> int | None
     """
     best: int | None = None
 
-    def search(active: list[frozenset[int]], chosen: int) -> None:
+    def search(active: list[int], chosen: int) -> None:
         nonlocal best
         limit = budget if best is None else best - 1
         if chosen > limit:
@@ -201,63 +208,52 @@ def _min_hitting_set_size(sets: list[frozenset[int]], budget: int) -> int | None
             return
         if chosen + _packing_lower_bound(active) > limit:
             return
-        target = min(active, key=lambda s: (len(s), sorted(s)))
+        target = min(active, key=lambda m: (m.bit_count(), m))
         if not target:
             return
-        if len(target) == 1:
-            (forced,) = target
-            search([s for s in active if forced not in s], chosen + 1)
+        if target & (target - 1) == 0:
+            search([m for m in active if not m & target], chosen + 1)
             return
-        banned: set[int] = set()
-        for cand in sorted(target):
-            reduced: list[frozenset[int]] = []
+        banned = 0
+        for cand in _positions(target):
+            bit = 1 << cand
+            reduced: list[int] = []
             alive = True
-            for s in active:
-                if cand in s:
+            for m in active:
+                if m & bit:
                     continue
-                trimmed = s - banned
+                trimmed = m & ~banned
                 if not trimmed:
                     alive = False
                     break
                 reduced.append(trimmed)
             if alive:
                 search(reduced, chosen + 1)
-            banned.add(cand)
+            banned |= bit
 
     search(sets, 0)
     return best
 
 
-def _lex_least_hitting_set(
-    sets: list[frozenset[int]], n_candidates: int, size: int
-) -> list[int]:
-    """The lexicographically least hitting set of exactly ``size`` candidates.
+def _lex_least_hitting_set(sets: list[int], size: int) -> list[int]:
+    """The lexicographically least hitting set, of the minimum size ``size``.
 
-    Scans candidates in order; a candidate joins the prefix when the prefix
-    can still be completed from strictly later candidates. Leftover budget
-    can always be padded, so feasibility only needs the minimum completion
-    and enough room on the right.
+    Scans the positions the sets use, in order; a position joins the prefix
+    when the sets it misses can still be hit from strictly later positions
+    within the rest of the budget. A minimum hitting set uses only positions
+    the sets hold and never needs padding.
     """
     chosen: list[int] = []
-    active = list(sets)
-    for cand in range(n_candidates):
+    active = sets
+    for cand in _positions(reduce(or_, sets, 0)):
         if len(chosen) == size:
             break
+        bit = 1 << cand
+        remaining = [m for m in active if not m & bit]
+        # Clearing bit cand and every bit below it keeps the later positions.
+        restricted = [m & -(bit << 1) for m in remaining]
         rest_budget = size - len(chosen) - 1
-        remaining = [s for s in active if cand not in s]
-        if n_candidates - cand - 1 < rest_budget:
-            continue
-        restricted = []
-        feasible = True
-        for s in remaining:
-            trimmed = frozenset(i for i in s if i > cand)
-            if not trimmed:
-                feasible = False
-                break
-            restricted.append(trimmed)
-        if feasible and _min_hitting_set_size(restricted, rest_budget) is None:
-            feasible = False
-        if feasible:
+        if all(restricted) and _min_hitting_set_size(restricted, rest_budget) is not None:
             chosen.append(cand)
             active = remaining
     if len(chosen) != size or active:
@@ -265,15 +261,15 @@ def _lex_least_hitting_set(
     return chosen
 
 
-def _minimal_masks(sets: list[frozenset[int]]) -> list[int]:
-    """The distinct sets that contain no other set, as bitmasks.
+def _minimal_masks(sets: list[int]) -> list[int]:
+    """The distinct sets that contain no other set.
 
     A candidate set hits a superset whenever it hits the subset, so dropping
     duplicates and supersets leaves the hitting sets exactly the same
     (Weihe 1998). Sorting by size puts every subset before its supersets,
     so the smallest set left is always minimal.
     """
-    masks = sorted({sum(1 << i for i in s) for s in set(sets)}, key=lambda m: (m.bit_count(), m))
+    masks = sorted(set(sets), key=lambda m: (m.bit_count(), m))
     minimal: list[int] = []
     while masks:
         least = masks[0]
@@ -301,21 +297,11 @@ def _components(masks: list[int]) -> list[list[int]]:
 
 
 def _solve_component(masks: list[int]) -> list[int]:
-    """Lex-least minimum hitting set of one component, in global positions.
-
-    The component's candidates are renumbered 0..k-1 in position order, so
-    lexicographic order is preserved both ways.
-    """
-    union = 0
-    for m in masks:
-        union |= m
-    positions = [i for i in range(union.bit_length()) if union >> i & 1]
-    sets = [frozenset(k for k, i in enumerate(positions) if m >> i & 1) for m in masks]
-    upper = len(_greedy_hitting_set(sets))
-    size = _min_hitting_set_size(sets, upper)
+    """Lex-least minimum hitting set of one component, in global positions."""
+    size = _min_hitting_set_size(masks, len(_greedy_hitting_set(masks)))
     if size is None:
         raise AssertionError("greedy witness contradicts the search bound")
-    return [positions[k] for k in _lex_least_hitting_set(sets, len(positions), size)]
+    return _lex_least_hitting_set(masks, size)
 
 
 def metric_dimension(

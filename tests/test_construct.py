@@ -182,6 +182,15 @@ class TestLexicographic:
         with pytest.raises(ValueError, match="reserved"):
             lexicographic(bad, K2)
 
+    @pytest.mark.parametrize("position", ["base", "second"])
+    def test_rejects_non_finite_factor(self, position):
+        # A NaN base used to fail the nearness check with a misleading message,
+        # and a NaN second factor used to give a product with NaN entries.
+        nan_pair = FiniteMetricSpace(("a", "b"), [[0, np.nan], [np.nan, 0]])
+        factors = (nan_pair, K2) if position == "base" else (discrete_metric(2), nan_pair)
+        with pytest.raises(ValueError, match="distance table has non-finite entries"):
+            lexicographic(*factors)
+
     def test_product_size(self):
         prod = lexicographic(graph_metric(path_graph(3)), graph_metric(path_graph(4)))
         assert prod.space.n == 12

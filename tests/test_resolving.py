@@ -46,6 +46,8 @@ K3 = graph_metric(complete_graph(3))
 K4 = graph_metric(complete_graph(4))
 C4 = graph_metric(cycle_graph(4))
 C5 = graph_metric(cycle_graph(5))
+C7 = graph_metric(cycle_graph(7))
+C10 = graph_metric(cycle_graph(10))
 
 
 def star_graph(leaves: int) -> Graph:
@@ -143,6 +145,15 @@ class TestPairTable:
         for space in (P4, C5, K4):
             for (u, v), dset in pair_table(space).pairs.items():
                 assert {u, v} <= dset
+
+    def test_matches_the_definition_past_64_points(self):
+        """70 shuffled points: each pair's separators span 9 packed bytes."""
+        space = shuffled(lexicographic(C7, C10).space, seed=7)
+        table = pair_table(space)
+        assert len(table.pairs) == space.n * (space.n - 1) // 2
+        for (u, v), dset in table.pairs.items():
+            apart = np.abs(space.dist[space.index(u)] - space.dist[space.index(v)])
+            assert dset == {space.points[k] for k in np.flatnonzero(apart > space.tolerance)}
 
 
 @pytest.mark.parametrize(
@@ -286,31 +297,27 @@ def test_dimension_invariant_under_squash(space):
 
 
 def hits(candidates, sets) -> bool:
-    return all(set(candidates) & set(s) for s in sets)
+    """Whether the positions ``candidates`` meet every mask in ``sets``."""
+    chosen = sum(1 << i for i in candidates)
+    return all(chosen & m for m in sets)
 
 
-def mask_members(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def kernel_witness(sets: list[frozenset[int]]) -> list[int]:
+def kernel_witness(sets: list[int]) -> list[int]:
     """Union of the per-component lex-least witnesses of the reduced family."""
     components = _components(_minimal_masks(sets))
     return sorted(i for masks in components for i in _solve_component(masks))
 
 
-# Non-empty set families on at most 8 candidates.
-set_families = st.lists(
-    st.frozensets(st.integers(0, 7), min_size=1), min_size=0, max_size=12
-)
+# Non-empty set families on at most 8 candidates, as bitmasks.
+set_families = st.lists(st.integers(1, 255), min_size=0, max_size=12)
 
 
 @settings(derandomize=True, max_examples=150)
 @given(set_families)
 def test_reduction_keeps_exactly_the_hitting_sets(sets):
-    reduced = [mask_members(m) for m in _minimal_masks(sets)]
+    reduced = _minimal_masks(sets)
     assert len(set(reduced)) == len(reduced)
-    assert all(not a < b for a in reduced for b in reduced)
+    assert all(a & b != a for a in reduced for b in reduced if a != b)
     for r in range(9):
         for subset in itertools.combinations(range(8), r):
             assert hits(subset, reduced) == hits(subset, sets)
@@ -330,12 +337,9 @@ def test_component_witnesses_form_the_lex_least_minimum_hitting_set(sets):
 
 def test_interleaved_components():
     """Components {0, 2, 4} and {1, 3} interleave in label order."""
-    sets = [frozenset({0, 2}), frozenset({2, 4}), frozenset({1, 3})]
+    sets = [0b101, 0b10100, 0b1010]
     components = _components(_minimal_masks(sets))
-    assert sorted(sorted(sorted(mask_members(m)) for m in c) for c in components) == [
-        [[0, 2], [2, 4]],
-        [[1, 3]],
-    ]
+    assert sorted(sorted(c) for c in components) == [[0b101, 0b10100], [0b1010]]
     assert kernel_witness(sets) == [1, 2]
 
 
@@ -357,7 +361,7 @@ def solver_spaces(draw):
 def test_kernel_agrees_with_plain_branch_and_bound_and_enumeration(space):
     labels, sets = _distinguisher_sets(space)
     size = _min_hitting_set_size(sets, space.n)
-    plain_basis = tuple(labels[i] for i in _lex_least_hitting_set(sets, space.n, size))
+    plain_basis = tuple(labels[i] for i in _lex_least_hitting_set(sets, size))
     plain_all = tuple(
         tuple(labels[i] for i in combo)
         for combo in itertools.combinations(range(space.n), size)
@@ -397,3 +401,52 @@ def test_heavy_tail_products_solve(seed, index, stats):
     assert resolves(product, result.basis)
     assert result.dimension == len(result.basis) == formula_rhs(base, second)
     assert result.stats == stats
+
+
+def ilp_dimension(space: FiniteMetricSpace) -> int:
+    """Minimum resolving set size by integer programming, from ``dist`` alone.
+
+    Minimizes the number of chosen points subject to every pair having a
+    chosen point at different distances from its two members.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rows = np.unique(
+        [
+            np.abs(space.dist[i] - space.dist[j]) > space.tolerance
+            for i, j in itertools.combinations(range(space.n), 2)
+        ],
+        axis=0,
+    )
+    ones = np.ones(space.n)
+    result = milp(
+        ones,
+        constraints=LinearConstraint(rows.astype(float), lb=1),
+        integrality=ones,
+        bounds=Bounds(0, 1),
+    )
+    assert result.success
+    return round(result.fun)
+
+
+def ilp_factor(code: str, rng: np.random.Generator, prefix: str) -> FiniteMetricSpace:
+    """``Kn`` a complete graph, ``Gn`` a random connected graph, ``Wn`` a random metric."""
+    kind, n = code[0], int(code[1:])
+    if kind == "K":
+        return graph_metric(complete_graph(n))
+    if kind == "G":
+        return graph_metric(random_connected_graph(rng, n, prefix=prefix))
+    return random_metric_space(rng, n, prefix=prefix)
+
+
+@pytest.mark.parametrize(
+    "base, second",
+    [("K4", "G6"), ("K3", "G8"), ("K2", "G12"), ("K5", "G5"), ("G4", "G8"),
+     ("G6", "G6"), ("G5", "G8"), ("W5", "W5"), ("W7", "W7"), ("W8", "W8")],
+)
+def test_dimension_matches_an_independent_ilp(base, second):
+    """Products of 24 to 64 points, twin-rich complete bases among them."""
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(3)
+    product = lexicographic(ilp_factor(base, rng, "x"), ilp_factor(second, rng, "y")).space
+    assert metric_dimension(product).dimension == ilp_dimension(product)
