@@ -52,16 +52,14 @@ print("twin classes of K2:", twin_classes(K2).classes, "(two points are vacuous 
 
 special = special_classes(K2, P3)
 print("\nspecial classes of (K2, P3):", special.member_classes)
-for cls, per_member in special.evidence.items():
-    for member, checks in per_member.items():
-        for chk in checks:
-            print(f"  member {member}, fiber basis {chk.basis}: witness {chk.witness}")
 print("(each endpoint basis of the fiber P3 sees the center b at the gap 1)")
 
 half = FiniteMetricSpace(("y1", "y2"), [[0, 0.5], [0.5, 0]])
-print("\nspecial classes of (K2, pair at 0.5):",
-      special_classes(K2, half).member_classes,
-      "- capped distances stay below the gap, no witness")
+special = special_classes(K2, half)
+print("\nspecial classes of (K2, pair at 0.5):", special.member_classes)
+for cls, (member, basis) in special.counterexamples.items():
+    print(f"  class {cls} fails at member {member}: fiber basis {basis} has no far witness")
+print("(capped distances stay below the gap 1)")
 
 print("\n" + "=" * 64)
 print("4. The formula against the solver")

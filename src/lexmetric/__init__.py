@@ -49,7 +49,6 @@ from .resolving import (
     resolves,
 )
 from .twins import (
-    BasisCheck,
     SpecialClassSet,
     TwinPartition,
     is_twins_free,

@@ -15,6 +15,7 @@ loads the spaces, prints the document or the text, and sets the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -169,32 +170,23 @@ def cmd_twins(args, space):
 
 
 def cmd_special(args, base, second):
-    special = special_classes(
-        base, second, max_enumeration_points=args.max_enumeration_points
-    )
+    special = special_classes(base, second)
     doc = {
         "special_classes": [list(c) for c in special.member_classes],
-        "evidence": {
-            ",".join(cls): {
-                member: [
-                    {"basis": list(chk.basis), "witness": chk.witness} for chk in checks
-                ]
-                for member, checks in per_member.items()
-            }
-            for cls, per_member in special.evidence.items()
+        "counterexamples": {
+            ",".join(cls): {"member": member, "basis": list(basis)}
+            for cls, (member, basis) in special.counterexamples.items()
         },
     }
     text = [f"special classes: {len(special.member_classes)}"]
-    text += [f"  {{{', '.join(c)}}}" for c in special.member_classes]
-    for cls, per_member in special.evidence.items():
-        status = "in" if cls in special.member_classes else "out"
-        text.append(f"  class {{{', '.join(cls)}}} [{status}]:")
-        text += [
-            f"    member {member}, basis {{{', '.join(chk.basis)}}}: "
-            f"witness {chk.witness if chk.witness is not None else 'none'}"
-            for member, checks in per_member.items()
-            for chk in checks
-        ]
+    # Classes are disjoint, so tuple order is the order of their least members.
+    for cls in sorted([*special.member_classes, *special.counterexamples]):
+        line = f"  {{{', '.join(cls)}}}"
+        if cls in special.counterexamples:
+            member, basis = special.counterexamples[cls]
+            text.append(f"{line} [out]: member {member}, basis {{{', '.join(basis)}}}")
+        else:
+            text.append(f"{line} [in]")
     return doc, text, True
 
 
@@ -204,13 +196,11 @@ def _verdict(report) -> str:
 
 # The checks behind ``verify --theorem``; each gives a list of reports.
 _THEOREMS = {
-    "dimension": lambda a, x, y: [
-        verify_dimension(x, y, a.max_product_points, a.max_enumeration_points)
-    ],
+    "dimension": lambda a, x, y: [verify_dimension(x, y, a.max_product_points)],
     "diameter": lambda a, x, y: [verify_diameter(x, y)],
     "squash": lambda a, x, y: [verify_squash(x, y, a.max_product_points)],
     "corollaries": lambda a, x, y: verify_corollaries(x, y, a.max_product_points),
-    "all": lambda a, x, y: verify_all(x, y, a.max_product_points, a.max_enumeration_points),
+    "all": lambda a, x, y: verify_all(x, y, a.max_product_points),
 }
 
 
@@ -231,9 +221,7 @@ def cmd_corpus(args):
     docs = []
     text = []
     for i, (base, second) in enumerate(pairs, start=1):
-        reports = verify_all(
-            base, second, args.max_product_points, args.max_enumeration_points
-        )
+        reports = verify_all(base, second, args.max_product_points)
         run = [r for r in reports if not r.skipped]
         checks += len(run)
         failures += sum(not r.passed for r in run)
@@ -251,6 +239,7 @@ def cmd_corpus(args):
     return {"pairs": docs, "checks": checks, "failures": failures}, text, failures == 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexmetric",
@@ -267,26 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="force input format instead of inferring from the extension",
     )
-    guards = argparse.ArgumentParser(add_help=False)
-    guards.add_argument(
-        "--max-product-points",
-        type=int,
-        default=36,
-        help="refuse products larger than this (default 36)",
-    )
-    guards.add_argument(
-        "--max-enumeration-points",
-        type=int,
-        default=16,
-        help="refuse complete basis enumeration beyond this many points (default 16)",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help, spaces=("file",), guarded=False, kind=None, finite=True):
+    def add(name, func, help, spaces=("file",), kind=None, finite=True):
         """One subcommand; main loads the positionals named in ``spaces``."""
-        parents = [common, guards] if guarded else [common]
-        p = sub.add_parser(name, parents=parents, help=help)
+        p = sub.add_parser(name, parents=[common], help=help)
         for dest in spaces:
             p.add_argument(dest)
         p.set_defaults(func=func, spaces=spaces, kind=kind, finite=finite)
@@ -303,17 +277,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True, help="bound parameter, eta > 0")
     pair = ("base", "second")
     add("product", cmd_product, "lexicographic product of two spaces", spaces=pair)
-    p = add("dim", cmd_dim, "exact metric dimension", guarded=True)
+    p = add("dim", cmd_dim, "exact metric dimension")
+    p.add_argument(
+        "--max-enumeration-points",
+        type=int,
+        default=16,
+        help="refuse complete basis enumeration beyond this many points (default 16)",
+    )
     p.add_argument("--greedy", action="store_true", help="also report the greedy resolving set")
     p.add_argument("--all-bases", action="store_true", help="enumerate every minimum basis")
     add("twins", cmd_twins, "twin equivalence classes")
     special_help = "twin classes passing the far-witness test"
-    add("special", cmd_special, special_help, spaces=pair, guarded=True)
-    p = add("verify", cmd_verify, "check the product identities", spaces=pair, guarded=True)
-    p.add_argument("--theorem", choices=list(_THEOREMS), default="all")
-    p = add("corpus", cmd_corpus, "random verification sweep", spaces=(), guarded=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=30)
+    add("special", cmd_special, special_help, spaces=pair)
+    verify = add("verify", cmd_verify, "check the product identities", spaces=pair)
+    verify.add_argument("--theorem", choices=list(_THEOREMS), default="all")
+    corpus = add("corpus", cmd_corpus, "random verification sweep", spaces=())
+    corpus.add_argument("--seed", type=int, required=True)
+    corpus.add_argument("--count", type=int, default=30)
+    for p in (verify, corpus):
+        p.add_argument(
+            "--max-product-points",
+            type=int,
+            default=36,
+            help="refuse products larger than this (default 36)",
+        )
     return parser
 
 

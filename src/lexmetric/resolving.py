@@ -14,7 +14,7 @@ is kept behind a flag as its oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import or_
 
@@ -112,9 +112,13 @@ def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]
     labels = [space.points[i] for i in order]
     d = space.dist[np.ix_(order, order)]
     first, second = np.triu_indices(space.n, 1)
-    separates = np.abs(d[first] - d[second]) > space.tolerance
-    rows = np.packbits(separates, axis=1, bitorder="little")
-    return labels, [int.from_bytes(row, "little") for row in rows]
+    return labels, _row_masks(np.abs(d[first] - d[second]) > space.tolerance)
+
+
+def _row_masks(table: np.ndarray) -> list[int]:
+    """Each row of a boolean table as a bitmask whose bit ``k`` is column ``k``."""
+    rows = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _positions(mask: int) -> list[int]:
@@ -296,12 +300,43 @@ def _components(masks: list[int]) -> list[list[int]]:
     return [members for _, members in groups]
 
 
-def _solve_component(masks: list[int]) -> list[int]:
-    """Lex-least minimum hitting set of one component, in global positions."""
-    size = _min_hitting_set_size(masks, len(_greedy_hitting_set(masks)))
-    if size is None:
-        raise AssertionError("greedy witness contradicts the search bound")
-    return _lex_least_hitting_set(masks, size)
+def _solve_component(masks: list[int], budget: int) -> list[int] | None:
+    """Lex-least minimum hitting set of one component, in global positions.
+
+    None when every hitting set of the component has more than ``budget``
+    points.
+    """
+    size = _min_hitting_set_size(masks, min(budget, len(_greedy_hitting_set(masks))))
+    return None if size is None else _lex_least_hitting_set(masks, size)
+
+
+def _least_basis(
+    space: FiniteMetricSpace, must_hit: np.ndarray, budget: int
+) -> ResolveResult | None:
+    """The lex-least smallest resolving set that also meets every row of ``must_hit``.
+
+    ``must_hit`` is a boolean table with one column per point, in point
+    order; each row is one more set the basis must hit. Returns None when no
+    such set has at most ``budget`` points. With no rows and a budget of
+    ``space.n`` this is the least metric basis, solved as
+    :func:`metric_dimension` describes.
+    """
+    labels, sets = _distinguisher_sets(space)
+    _require_distinguishable(labels, sets)
+    sets += _row_masks(must_hit[:, [space.index(p) for p in labels]])
+    if not all(sets):
+        return None
+    minimal = _minimal_masks(sets)
+    components = _components(minimal)
+    witness: list[int] = []
+    for masks in components:
+        part = _solve_component(masks, budget - len(witness))
+        if part is None:
+            return None
+        witness += part
+    basis = tuple(labels[i] for i in sorted(witness))
+    stats = SolveStats(len(sets), len(minimal), len(components))
+    return ResolveResult(len(basis), basis, None, stats)
 
 
 def metric_dimension(
@@ -357,20 +392,14 @@ def metric_dimension(
             )
         return ResolveResult(dimension, found, all_bases)
 
-    _, sets = _distinguisher_sets(space)
-    _require_distinguishable(candidates, sets)
-    minimal = _minimal_masks(sets)
-    components = _components(minimal)
-    witness_idx = sorted(i for masks in components for i in _solve_component(masks))
-    dimension = len(witness_idx)
-    basis = tuple(candidates[i] for i in witness_idx)
-    all_bases = None
+    result = _least_basis(space, np.zeros((0, space.n), dtype=bool), space.n)
     if enumerate_all:
-        hits = []
-        for combo in itertools.combinations(range(len(candidates)), dimension):
-            combo_mask = sum(1 << i for i in combo)
-            if all(combo_mask & m for m in minimal):
-                hits.append(tuple(candidates[i] for i in combo))
-        all_bases = tuple(hits)
-    stats = SolveStats(len(sets), len(minimal), len(components))
-    return ResolveResult(dimension, basis, all_bases, stats)
+        _, sets = _distinguisher_sets(space)
+        minimal = _minimal_masks(sets)
+        all_bases = tuple(
+            tuple(candidates[i] for i in combo)
+            for combo in itertools.combinations(range(space.n), result.dimension)
+            if all(sum(1 << i for i in combo) & m for m in minimal)
+        )
+        result = replace(result, all_bases=all_bases)
+    return result

@@ -23,7 +23,7 @@ from .construct import (
     lexicographic,
     squash,
 )
-from .resolving import DEFAULT_ENUMERATION_CAP, ResolveResult, metric_dimension
+from .resolving import ResolveResult, metric_dimension
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
@@ -86,7 +86,6 @@ class _Pair:
     base: FiniteMetricSpace
     second: FiniteMetricSpace
     max_product_points: int = DEFAULT_PRODUCT_CAP
-    max_enumeration_points: int = DEFAULT_ENUMERATION_CAP
     _solves: dict[tuple, int] = field(default_factory=dict)
 
     def _guard(self) -> None:
@@ -129,7 +128,7 @@ class _Pair:
 
     @cached_property
     def special(self) -> SpecialClassSet:
-        return _special_classes(self.base, self.second, self.partition, self.max_enumeration_points)
+        return _special_classes(self.base, self.second, self.partition, self._dimension)
 
     @cached_property
     def rhs(self) -> int:
@@ -231,27 +230,22 @@ def fiber_dimensions(
     return _Pair(base, second).fiber_dimensions
 
 
-def formula_rhs(
-    base: FiniteMetricSpace,
-    second: FiniteMetricSpace,
-    max_enumeration_points: int = DEFAULT_ENUMERATION_CAP,
-) -> int:
+def formula_rhs(base: FiniteMetricSpace, second: FiniteMetricSpace) -> int:
     """Closed-form product dimension: fiber dimensions plus twin-class excess.
 
     Sum of the per-fiber dimensions, plus, for every special twin class, its
     size minus one.
     """
-    return _Pair(base, second, max_enumeration_points=max_enumeration_points).rhs
+    return _Pair(base, second).rhs
 
 
 def verify_dimension(
     base: FiniteMetricSpace,
     second: FiniteMetricSpace,
     max_product_points: int = DEFAULT_PRODUCT_CAP,
-    max_enumeration_points: int = DEFAULT_ENUMERATION_CAP,
 ) -> VerificationReport:
     """Product dimension: exact solver on the built product vs the closed form."""
-    return _Pair(base, second, max_product_points, max_enumeration_points).dimension_report()
+    return _Pair(base, second, max_product_points).dimension_report()
 
 
 def verify_diameter(
@@ -297,10 +291,9 @@ def verify_all(
     base: FiniteMetricSpace,
     second: FiniteMetricSpace,
     max_product_points: int = DEFAULT_PRODUCT_CAP,
-    max_enumeration_points: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[VerificationReport]:
     """Run every check for one pair, in a fixed order, on one shared evaluation."""
-    pair = _Pair(base, second, max_product_points, max_enumeration_points)
+    pair = _Pair(base, second, max_product_points)
     return [
         pair.dimension_report(),
         pair.diameter_report(),

@@ -10,13 +10,13 @@ set of third points.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .construct import gravitational
-from .resolving import DEFAULT_ENUMERATION_CAP, metric_dimension
+from .resolving import _least_basis, metric_dimension
 from .space import FiniteMetricSpace, _require_finite, _table_key, nearness_point
 
 
@@ -114,93 +114,60 @@ def is_twins_free(space: FiniteMetricSpace) -> bool:
     return all(len(c) == 1 for c in twin_classes(space).classes)
 
 
-class BasisCheck(NamedTuple):
-    """One fiber basis and the unique far witness found for it, if any."""
-
-    basis: tuple[str, ...]
-    witness: str | None
-
-
 @dataclass(frozen=True)
 class SpecialClassSet:
     """The non-singleton twin classes whose fibers always admit a far witness.
 
-    ``evidence`` records, per examined class and member, the checked fiber
-    bases with their witness (or the first basis that failed, which is what
-    excluded the class).
+    ``counterexamples`` maps each excluded class to its first failing member
+    and that member's lexicographically least fiber basis without a far
+    witness.
     """
 
     member_classes: tuple[tuple[str, ...], ...]
-    evidence: dict[tuple[str, ...], dict[str, tuple[BasisCheck, ...]]]
+    counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]]
 
 
-def special_classes(
-    base: FiniteMetricSpace,
-    second: FiniteMetricSpace,
-    max_enumeration_points: int = DEFAULT_ENUMERATION_CAP,
-) -> SpecialClassSet:
+def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> SpecialClassSet:
     """Which non-singleton twin classes of ``base`` contribute extra landmarks.
 
     A class with gap L qualifies when for every member x and every metric
     basis of that member's fiber (``second`` capped at twice the nearness of
     x) some fiber point sits at capped distance exactly L from all basis
     points. Each member is checked in full rather than one representative.
-    The witness is unique whenever it exists, because two of them would be
-    unresolved by the basis; a duplicate therefore raises.
-
-    Needs the complete basis list of each fiber, so it inherits the
-    enumeration cap and refuses larger second factors outright instead of
-    approximating.
     """
-    return _special_classes(base, second, twin_classes(base), max_enumeration_points)
+    return _special_classes(
+        base, second, twin_classes(base), lambda fib: metric_dimension(fib).dimension
+    )
 
 
 def _special_classes(
     base: FiniteMetricSpace,
     second: FiniteMetricSpace,
     partition: TwinPartition,
-    max_enumeration_points: int,
+    dimension: Callable[[FiniteMetricSpace], int],
 ) -> SpecialClassSet:
-    """:func:`special_classes` on a partition at hand; enumerates each distinct fiber once."""
+    """:func:`special_classes` on a partition at hand, given the fiber dimension.
+
+    A basis B has no far witness when, for every fiber point z, B meets the
+    points off the gap from z. So one solve per distinct fiber and gap,
+    constrained to meet those sets within the fiber dimension, finds the
+    least failing basis or shows there is none.
+    """
     tol = max(base.tolerance, second.tolerance)
-    all_bases: dict[tuple, tuple[tuple[str, ...], ...]] = {}
+    failing: dict[tuple, tuple[str, ...] | None] = {}
     members_out: list[tuple[str, ...]] = []
-    evidence: dict[tuple[str, ...], dict[str, tuple[BasisCheck, ...]]] = {}
+    counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
     for cls in partition.non_singleton_classes:
         gap = partition.gap[cls]
-        per_member: dict[str, tuple[BasisCheck, ...]] = {}
-        qualifies = True
         for x in cls:
             fib = gravitational(second, nearness_point(base, x))
-            key = _table_key(fib)
-            if key not in all_bases:
-                result = metric_dimension(
-                    fib, enumerate_all=True, max_enumeration_points=max_enumeration_points
-                )
-                assert result.all_bases is not None
-                all_bases[key] = result.all_bases
-            checks: list[BasisCheck] = []
-            member_ok = True
-            for basis in all_bases[key]:
-                hits = [
-                    z
-                    for z in fib.points
-                    if all(abs(fib.d(z, s) - gap) <= tol for s in basis)
-                ]
-                if len(hits) > 1:
-                    raise ValueError(
-                        f"far witness for fiber basis {basis!r} is not unique: {hits!r}"
-                    )
-                witness = hits[0] if hits else None
-                checks.append(BasisCheck(basis, witness))
-                if witness is None:
-                    member_ok = False
-                    break
-            per_member[x] = tuple(checks)
-            if not member_ok:
-                qualifies = False
+            key = (_table_key(fib), gap)
+            if key not in failing:
+                found = _least_basis(fib, np.abs(fib.dist - gap) > tol, dimension(fib))
+                failing[key] = found.basis if found else None
+            if failing[key] is not None:
+                counterexamples[cls] = (x, failing[key])
                 break
-        evidence[cls] = per_member
-        if qualifies:
+        else:
             members_out.append(cls)
-    return SpecialClassSet(tuple(members_out), evidence)
+    return SpecialClassSet(tuple(members_out), counterexamples)

@@ -274,14 +274,42 @@ class TestErrors:
         assert code == 1
         assert out.splitlines() == ["invalid: 1 violation(s)", "  finiteness at (a, b): nan vs 0"]
 
-    def test_error_after_some_pairs_prints_nothing(self, capsys):
-        # Pair 4 of this sweep has a twin-class base whose fiber needs a
-        # basis enumeration past the cap; the first three pairs pass.
-        argv = ["corpus", "--seed", "5", "--count", "30", "--max-enumeration-points", "2"]
-        code, out, err = run(capsys, argv)
+    def test_error_after_some_pairs_prints_nothing(self, capsys, monkeypatch):
+        # The first three pairs pass and pair 4 raises.
+        import lexmetric.cli as cli
+
+        real_verify_all, pairs = cli.verify_all, []
+
+        def verify_all(base, second, max_product_points):
+            pairs.append(base)
+            if len(pairs) == 4:
+                raise ValueError("pair 4 went wrong")
+            return real_verify_all(base, second, max_product_points)
+
+        monkeypatch.setattr(cli, "verify_all", verify_all)
+        code, out, err = run(capsys, ["corpus", "--seed", "5", "--count", "30"])
         assert code == 2
         assert out == ""
-        assert "capped at 2 points" in err
+        assert "pair 4 went wrong" in err
+        assert len(pairs) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "{p4}", "--max-product-points", "40"],
+            ["special", "{k2}", "{k2}", "--max-product-points", "40"],
+            ["special", "{k2}", "{k2}", "--max-enumeration-points", "20"],
+            ["verify", "{k2}", "{k2}", "--max-enumeration-points", "20"],
+            ["corpus", "--seed", "1", "--max-enumeration-points", "20"],
+        ],
+        ids=["dim-product", "special-product", "special-enumeration", "verify", "corpus"],
+    )
+    def test_guard_a_command_does_not_read_is_a_usage_error(
+        self, capsys, p4_edges, k2_json, argv
+    ):
+        code, out, _ = run(capsys, [arg.format(p4=p4_edges, k2=k2_json) for arg in argv])
+        assert code == 2
+        assert out == ""
 
     def test_format_override(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"

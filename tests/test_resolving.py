@@ -305,7 +305,7 @@ def hits(candidates, sets) -> bool:
 def kernel_witness(sets: list[int]) -> list[int]:
     """Union of the per-component lex-least witnesses of the reduced family."""
     components = _components(_minimal_masks(sets))
-    return sorted(i for masks in components for i in _solve_component(masks))
+    return sorted(i for masks in components for i in _solve_component(masks, len(masks)))
 
 
 # Non-empty set families on at most 8 candidates, as bitmasks.

@@ -63,6 +63,13 @@ class TestVerifyDimension:
     def test_p3_by_k2(self):
         assert verify_dimension(P3, K2).passed
 
+    def test_fiber_past_the_enumeration_cap(self):
+        # Each fiber is the 17-point discrete space, past the 16-point cap
+        # of complete basis enumeration: 16 + 16 + one twin excess.
+        report = verify_dimension(K2, discrete_metric(17))
+        assert report.passed
+        assert (report.lhs, report.rhs) == (33, 33)
+
     def test_witnesses_support_replay(self):
         report = verify_dimension(K2, P3)
         w = report.witnesses
@@ -301,7 +308,7 @@ def test_path_by_p4_partial_far_witness():
 
     from lexmetric.construct import gravitational
     from lexmetric.space import FiniteMetricSpace
-    from lexmetric.twins import BasisCheck, special_classes
+    from lexmetric.twins import special_classes
 
     second = FiniteMetricSpace(("p", "q", "r", "s"), graph_metric(path_graph(4)).dist)
     fib = metric_dimension(gravitational(second, 1.0), enumerate_all=True)
@@ -309,10 +316,9 @@ def test_path_by_p4_partial_far_witness():
     assert len(fib.all_bases) == 6
     special = special_classes(P3, second)
     assert special.member_classes == ()
-    # The first member fails on its second basis, so the second member is never checked.
-    assert special.evidence == {
-        ("a", "c"): {"a": (BasisCheck(("p", "q"), "s"), BasisCheck(("p", "r"), None))}
-    }
+    # The first member fails at its least failing basis, so the second
+    # member is never checked.
+    assert special.counterexamples == {("a", "c"): ("a", ("p", "r"))}
     report = verify_dimension(P3, second)
     assert report.passed and report.rhs == 6
 

@@ -10,10 +10,12 @@ from lexmetric.construct import (
     cycle_graph,
     discrete_metric,
     graph_metric,
+    gravitational,
     path_graph,
 )
-from lexmetric.resolving import EnumerationCapExceeded
-from lexmetric.space import FiniteMetricSpace, diameter, nearness
+from lexmetric.resolving import metric_dimension
+from lexmetric.space import FiniteMetricSpace, diameter, nearness, nearness_point
+from lexmetric.theory import connected_graph_spaces, random_pairs, weighted_corpus_spaces
 from lexmetric.twins import is_twins_free, special_classes, twin_classes
 
 from test_construct import HALF_PAIR, K2
@@ -116,28 +118,25 @@ class TestSpecialClasses:
     def test_k2_pair_qualifies(self):
         special = special_classes(K2, K2)
         assert special.member_classes == (("v1", "v2"),)
-        for checks in special.evidence[("v1", "v2")].values():
-            for chk in checks:
-                assert chk.witness is not None
+        assert special.counterexamples == {}
 
     def test_half_distance_pair_fails(self):
         # The fiber keeps distance 0.5, so nothing sits at the gap 1.
         special = special_classes(K2, HALF_PAIR)
         assert special.member_classes == ()
-        failing = special.evidence[("v1", "v2")]["v1"][-1]
-        assert failing.witness is None
+        assert special.counterexamples == {("v1", "v2"): ("v1", ("y1",))}
 
     def test_twins_free_base_has_no_special_classes(self):
         special = special_classes(P4, K2)
         assert special.member_classes == ()
-        assert special.evidence == {}
+        assert special.counterexamples == {}
 
     def test_path_fiber_center_is_the_witness(self):
+        # The fiber bases are {a} and {c}; the center b sits at the gap 1
+        # from either, so no basis fails.
         special = special_classes(K2, P3)
         assert special.member_classes == (("v1", "v2"),)
-        checks = special.evidence[("v1", "v2")]["v1"]
-        assert [chk.basis for chk in checks] == [("a",), ("c",)]
-        assert all(chk.witness == "b" for chk in checks)
+        assert special.counterexamples == {}
 
     def test_small_second_diameter_empty(self):
         # With the second factor strictly inside the base nearness every
@@ -157,60 +156,109 @@ class TestSpecialClasses:
     )
 
     @pytest.mark.parametrize(
-        "base, second, enumerations",
+        "base, second, fibers",
         [(K3, P3, 1), (star_space(3), P3, 1), (C4, P3, 1), (TWO_NEARNESS, P4, 2)],
         ids=["K3", "star3", "C4", "two-nearness"],
     )
-    def test_one_basis_enumeration_per_distinct_fiber(
-        self, monkeypatch, base, second, enumerations
-    ):
+    def test_one_basis_enumeration_per_distinct_fiber(self, monkeypatch, base, second, fibers):
+        """Each distinct fiber costs one plain and one constrained solve, and
+        no complete basis enumeration."""
         import lexmetric.twins as twins
 
-        solved = []
+        plain, constrained = [], []
 
         def metric_dimension(space, **kwargs):
-            solved.append(kwargs["enumerate_all"])
-            return real(space, **kwargs)
+            plain.append(kwargs)
+            return real_plain(space, **kwargs)
 
-        real = twins.metric_dimension
+        def least_basis(space, must_hit, budget):
+            constrained.append(budget)
+            return real_constrained(space, must_hit, budget)
+
+        real_plain, real_constrained = twins.metric_dimension, twins._least_basis
         monkeypatch.setattr(twins, "metric_dimension", metric_dimension)
+        monkeypatch.setattr(twins, "_least_basis", least_basis)
         special = special_classes(base, second)
-        assert solved == [True] * enumerations
-        # Every member of a qualifying class is still checked on its own.
+        assert plain == [{}] * fibers
+        assert len(constrained) == fibers
         assert special.member_classes
-        for cls in special.member_classes:
-            assert set(special.evidence[cls]) == set(cls)
 
-    def test_enumeration_cap_propagates(self):
-        with pytest.raises(EnumerationCapExceeded):
-            special_classes(K2, discrete_metric(17))
+    def test_fiber_past_the_enumeration_cap_is_decided(self):
+        # 17 points is past the complete-enumeration cap. Every basis leaves
+        # out one point, which sees all the basis points at the gap 1.
+        special = special_classes(K2, discrete_metric(17))
+        assert special.member_classes == (("v1", "v2"),)
+        assert special.counterexamples == {}
 
-    def test_duplicate_witness_raises(self):
-        # Two candidate witnesses within tolerance of the gap but still more
-        # than tolerance apart from each other: the guard must fire rather
-        # than silently picking one.
+    def test_two_far_witnesses_within_tolerance_qualify(self):
+        # z and zp both sit within tolerance of the gap from s, yet more
+        # than tolerance apart from each other, so {s} resolves the fiber
+        # and has a far witness. Only its existence matters.
         eps = 0.9e-9
         second = FiniteMetricSpace(
             ("s", "z", "zp"),
             [[0, 1 + eps, 1 - eps], [1 + eps, 0, 0.5], [1 - eps, 0.5, 0]],
         )
         base = FiniteMetricSpace(("u1", "u2"), [[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="not unique"):
-            special_classes(base, second)
+        special = special_classes(base, second)
+        assert special.member_classes == (("u1", "u2"),)
+        assert special.counterexamples == {}
 
     @pytest.mark.parametrize(
         "base", [K3, C4, star_space(3), graph_metric(complete_graph(4))]
     )
     def test_members_agree_within_class(self, base):
-        """All members of a class reach the same verdict; the implementation
-        checks each one instead of trusting that fibers are isometric."""
+        """Twins share their nearness and so their fiber: a class either
+        qualifies or fails at its first member."""
         for second in (K2, P3, HALF_PAIR):
             special = special_classes(base, second)
-            for cls, per_member in special.evidence.items():
-                verdicts = {
-                    member: all(chk.witness is not None for chk in checks)
-                    for member, checks in per_member.items()
-                }
-                if cls in special.member_classes:
-                    assert len(verdicts) == len(cls)
-                    assert all(verdicts.values())
+            decided = set(special.member_classes) | set(special.counterexamples)
+            assert decided == set(twin_classes(base).non_singleton_classes)
+            for cls, (member, _) in special.counterexamples.items():
+                assert member == cls[0]
+
+
+def enumeration_oracle(base, second):
+    """Special classes from the definition, over the complete list of fiber bases.
+
+    A member fails at the first basis, in enumeration order, that no fiber
+    point sees at the class gap from every basis point.
+    """
+    tol = max(base.tolerance, second.tolerance)
+    partition = twin_classes(base)
+    members, counterexamples = [], {}
+    for cls in partition.non_singleton_classes:
+        gap = partition.gap[cls]
+        for x in cls:
+            fib = gravitational(second, nearness_point(base, x))
+            failing = [
+                basis
+                for basis in metric_dimension(fib, enumerate_all=True).all_bases
+                if not any(
+                    all(abs(fib.d(z, s) - gap) <= tol for s in basis) for z in fib.points
+                )
+            ]
+            if failing:
+                counterexamples[cls] = (x, failing[0])
+                break
+        else:
+            members.append(cls)
+    return tuple(members), counterexamples
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        lambda: itertools.product(
+            connected_graph_spaces(2, 4),
+            connected_graph_spaces(2, 4) + weighted_corpus_spaces(),
+        ),
+        lambda: random_pairs(1, 300),
+    ],
+    ids=["graphs-by-graphs-and-weighted", "random-weighted"],
+)
+def test_special_classes_agree_with_the_enumeration_oracle(pairs):
+    for base, second in pairs():
+        special = special_classes(base, second)
+        got = (special.member_classes, special.counterexamples)
+        assert got == enumeration_oracle(base, second), (base.points, second.points)
