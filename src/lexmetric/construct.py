@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, _require_finite, nearness, nearness_point
+from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, _nearness_values, _require_finite
 
 PRODUCT_SEP = "|"
 
@@ -251,7 +251,8 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     """
     _require_finite(first)
     _require_finite(second)
-    if not nearness(first) > 0:
+    near = _nearness_values(first)
+    if not near.min() > 0:
         raise ValueError("the base space must have positive nearness")
     for label in first.points + second.points:
         if PRODUCT_SEP in label:
@@ -261,8 +262,8 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     n_base, n_fib = first.n, second.n
     labels = tuple(f"{x}{PRODUCT_SEP}{y}" for x in first.points for y in second.points)
     table = np.zeros((n_base * n_fib, n_base * n_fib))
-    for i, x in enumerate(first.points):
-        cap = 2.0 * nearness_point(first, x)
+    for i in range(n_base):
+        cap = 2.0 * float(near[i])
         block = slice(i * n_fib, (i + 1) * n_fib)
         table[block, block] = np.minimum(cap, second.dist)
         for j in range(i + 1, n_base):

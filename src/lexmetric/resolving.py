@@ -20,7 +20,7 @@ from operator import or_
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _require_finite
+from .space import FiniteMetricSpace, _require_finite, _row_blocks
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -85,19 +85,21 @@ def coordinates(
 def resolves(space: FiniteMetricSpace, subset) -> bool:
     """Whether the distance vectors to ``subset`` separate all points.
 
-    Checks injectivity directly from the definition, pair by pair, at the
-    space's tolerance. Deliberately does not go through the pair table so it
-    can serve as an independent check of it.
+    Checks injectivity directly from the definition, on every pair at once,
+    at the space's tolerance. Deliberately does not go through the pair
+    table so it can serve as an independent check of it.
     """
     idx = sorted({space.index(p) for p in subset})
     if not idx:
         return False
     cols = space.dist[:, idx]
-    tau = space.tolerance
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if not (np.abs(cols[i] - cols[j]) > tau).any():
-                return False
+    for rows in _row_blocks(space.n, space.n * len(idx)):
+        # apart[i, j]: some landmark tells i from j; a point is not its own pair.
+        apart = (np.abs(cols[rows, None, :] - cols[None, :, :]) > space.tolerance).any(axis=2)
+        block = np.arange(rows.start, rows.stop)
+        apart[block - rows.start, block] = True
+        if not apart.all():
+            return False
     return True
 
 
@@ -111,7 +113,8 @@ def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]
     order = sorted(range(space.n), key=space.points.__getitem__)
     labels = [space.points[i] for i in order]
     d = space.dist[np.ix_(order, order)]
-    first, second = np.triu_indices(space.n, 1)
+    r = np.arange(space.n)
+    first, second = np.nonzero(r[:, None] < r)
     return labels, _row_masks(np.abs(d[first] - d[second]) > space.tolerance)
 
 

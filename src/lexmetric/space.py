@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
+# Entries per row block in the whole-table passes: 2**18 float64s is 2 MB.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +109,17 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _row_blocks(n: int, per_row: int) -> Iterator[slice]:
+    """Consecutive row slices of an ``n``-row pass holding ``per_row`` entries per row.
+
+    Each block keeps its temporaries near ``_BLOCK_ENTRIES`` entries, so a
+    whole-table pass needs memory linear in its rows, not cubic in ``n``.
+    """
+    step = max(1, _BLOCK_ENTRIES // per_row)
+    for start in range(0, n, step):
+        yield slice(start, min(n, start + step))
+
+
 def validate(space: FiniteMetricSpace) -> ValidationReport:
     """Check the metric axioms at the space's tolerance, reporting every violation.
 
@@ -114,66 +127,76 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     symmetric, distinct points are farther apart than the tolerance, and
     d(u,v) <= d(u,w) + d(w,v) for every triple. A triangle violation is
     reported as (u, w, v): the two endpoints around the intermediate point.
+    Violations come rule by rule in that order, symmetry and positivity
+    interleaved per pair, each rule in row-major order of its indices.
     """
     d = space.dist
     pts = space.points
     tau = space.tolerance
     n = space.n
-    out: list[Violation] = []
-    for i in range(n):
-        for j in range(n):
-            if not np.isfinite(d[i, j]):
-                out.append(Violation("finiteness", (pts[i], pts[j]), float(d[i, j]), 0.0))
+    out = [
+        Violation("finiteness", (pts[i], pts[j]), float(d[i, j]), 0.0)
+        for i, j in zip(*np.nonzero(~np.isfinite(d)))
+    ]
     if out:
         # Non-finite entries poison every other comparison; stop here.
         return ValidationReport(ok=False, violations=tuple(out))
-    for i in range(n):
-        if abs(d[i, i]) > tau:
-            out.append(Violation("zero-diagonal", (pts[i],), float(d[i, i]), 0.0))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(d[i, j] - d[j, i]) > tau:
-                out.append(
-                    Violation("symmetry", (pts[i], pts[j]), float(d[i, j]), float(d[j, i]))
-                )
-            if d[i, j] <= tau or d[j, i] <= tau:
+    for i in np.flatnonzero(np.abs(np.diagonal(d)) > tau):
+        out.append(Violation("zero-diagonal", (pts[i],), float(d[i, i]), 0.0))
+    asymmetric = np.abs(d - d.T) > tau
+    close = (d <= tau) | (d.T <= tau)
+    for i, j in zip(*np.nonzero(asymmetric | close)):
+        if i >= j:
+            continue
+        if asymmetric[i, j]:
+            out.append(Violation("symmetry", (pts[i], pts[j]), float(d[i, j]), float(d[j, i])))
+        if close[i, j]:
+            out.append(
+                Violation("positivity", (pts[i], pts[j]), float(min(d[i, j], d[j, i])), 0.0)
+            )
+    # hit[i, j, k]: d[i, j] > d[i, k] + d[k, j] + tau, for rows i of one block
+    # and columns j past the block's first row; i < j and k not in {i, j}
+    # are applied to the hits alone.
+    for rows in _row_blocks(n, n * n):
+        lo = rows.start + 1
+        through = d[rows, None, :] + d.T[None, lo:, :]
+        through += tau
+        for i, j, k in zip(*np.nonzero(d[rows, lo:, None] > through)):
+            i, j = i + rows.start, j + lo
+            if i < j and k != i and k != j:
                 out.append(
                     Violation(
-                        "positivity", (pts[i], pts[j]), float(min(d[i, j], d[j, i])), 0.0
+                        "triangle",
+                        (pts[i], pts[k], pts[j]),
+                        float(d[i, j]),
+                        float(d[i, k] + d[k, j]),
                     )
                 )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if d[i, j] > d[i, k] + d[k, j] + tau:
-                    out.append(
-                        Violation(
-                            "triangle",
-                            (pts[i], pts[k], pts[j]),
-                            float(d[i, j]),
-                            float(d[i, k] + d[k, j]),
-                        )
-                    )
     return ValidationReport(ok=not out, violations=tuple(out))
+
+
+def _nearness_values(space: FiniteMetricSpace) -> np.ndarray:
+    """Every point's nearness, in point order: one row minimum, diagonal masked."""
+    off_diagonal = space.dist.copy()
+    np.fill_diagonal(off_diagonal, np.inf)
+    return off_diagonal.min(axis=1)
 
 
 def nearness_point(space: FiniteMetricSpace, x: str) -> float:
     """Distance from ``x`` to its closest other point; positive in a valid space."""
-    i = space.index(x)
-    row = np.delete(space.dist[i], i)
-    return float(row.min())
+    return float(_nearness_values(space)[space.index(x)])
 
 
 def nearness(space: FiniteMetricSpace) -> float:
     """Smallest per-point nearness, i.e. the minimum pairwise distance."""
-    return min(nearness_point(space, x) for x in space.points)
+    _require_finite(space)
+    return float(_nearness_values(space).min())
 
 
 def slack(space: FiniteMetricSpace) -> float:
     """Largest per-point nearness."""
-    return max(nearness_point(space, x) for x in space.points)
+    _require_finite(space)
+    return float(_nearness_values(space).max())
 
 
 def diameter(space: FiniteMetricSpace) -> float:
@@ -192,12 +215,12 @@ class SpaceStats:
 
 
 def space_stats(space: FiniteMetricSpace) -> SpaceStats:
-    per_point = {x: nearness_point(space, x) for x in space.points}
-    values = list(per_point.values())
+    _require_finite(space)
+    values = _nearness_values(space)
     return SpaceStats(
-        nearness_per_point=per_point,
-        nearness=min(values),
-        slack=max(values),
+        nearness_per_point=dict(zip(space.points, values.tolist())),
+        nearness=float(values.min()),
+        slack=float(values.max()),
         diameter=diameter(space),
     )
 

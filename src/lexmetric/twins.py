@@ -17,7 +17,7 @@ import numpy as np
 
 from .construct import gravitational
 from .resolving import _least_basis, metric_dimension
-from .space import FiniteMetricSpace, _require_finite, _table_key, nearness_point
+from .space import FiniteMetricSpace, _nearness_values, _require_finite, _row_blocks, _table_key
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,18 @@ class TwinPartition:
 
 
 def _twin_matrix(space: FiniteMetricSpace) -> np.ndarray:
+    """``twins[i, j]``: every third point sees ``i`` and ``j`` alike; False on the diagonal."""
     d = space.dist
-    tau = space.tolerance
     n = space.n
-    twins = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask = np.ones(n, dtype=bool)
-            mask[i] = mask[j] = False
-            twins[i, j] = twins[j, i] = bool(
-                (np.abs(d[i, mask] - d[j, mask]) <= tau).all()
-            )
+    twins = np.empty((n, n), dtype=bool)
+    for rows in _row_blocks(n, n * n):
+        # same[i, j, k]: k sees i and j alike; k = i and k = j are not third points.
+        same = np.abs(d[rows, None, :] - d[None, :, :]) <= space.tolerance
+        block = np.arange(rows.start, rows.stop)
+        same[block - rows.start, :, block] = True
+        same[:, np.arange(n), np.arange(n)] = True
+        twins[rows] = same.all(axis=2)
+    np.fill_diagonal(twins, False)
     return twins
 
 
@@ -95,13 +96,14 @@ def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
     )
     gap: dict[tuple[str, ...], float] = {}
     class_nearness: dict[tuple[str, ...], float] = {}
+    values = _nearness_values(space)
     for cls in classes:
         if len(cls) == 1:
             continue
         pairwise = [space.d(u, v) for u, v in itertools.combinations(cls, 2)]
         if max(pairwise) - min(pairwise) > 2 * space.tolerance:
             raise ValueError(f"within-class distances of {cls!r} are not constant")
-        near = [nearness_point(space, u) for u in cls]
+        near = [float(values[space.index(u)]) for u in cls]
         if max(near) - min(near) > 2 * space.tolerance:
             raise ValueError(f"within-class nearness of {cls!r} is not constant")
         gap[cls] = space.d(cls[0], cls[1])
@@ -154,13 +156,14 @@ def _special_classes(
     least failing basis or shows there is none.
     """
     tol = max(base.tolerance, second.tolerance)
+    near = _nearness_values(base)
     failing: dict[tuple, tuple[str, ...] | None] = {}
     members_out: list[tuple[str, ...]] = []
     counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
     for cls in partition.non_singleton_classes:
         gap = partition.gap[cls]
         for x in cls:
-            fib = gravitational(second, nearness_point(base, x))
+            fib = gravitational(second, float(near[base.index(x)]))
             key = (_table_key(fib), gap)
             if key not in failing:
                 found = _least_basis(fib, np.abs(fib.dist - gap) > tol, dimension(fib))

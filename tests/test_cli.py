@@ -335,6 +335,8 @@ GOLDEN = [
     ("validate-p4", "validate p4.edges", 0),
     ("validate-nonmetric", "validate nonmetric.json", 1),
     ("validate-nonmetric-json", "validate nonmetric.json --json", 1),
+    ("validate-broken", "validate broken.json", 1),
+    ("validate-broken-json", "validate broken.json --json", 1),
     ("stats-w3", "stats w3.json", 0),
     ("stats-w3-json", "stats w3.json --json", 0),
     ("stats-c5", "stats c5.edges", 0),

@@ -40,6 +40,8 @@ from lexmetric.space import FiniteMetricSpace, nearness
 from lexmetric.theory import formula_rhs, random_connected_graph, random_metric_space
 from lexmetric.twins import twin_classes
 
+from test_space import BLOCK_BUDGETS, raw_spaces, row_blocks_of
+
 P3 = graph_metric(path_graph(3))
 P4 = graph_metric(path_graph(4))
 K3 = graph_metric(complete_graph(3))
@@ -168,6 +170,28 @@ def test_hitting_set_equivalence_exhaustive(space):
         for subset in itertools.combinations(space.points, r):
             hit = all(set(subset) & dset for dset in table.pairs.values())
             assert resolves(space, subset) == hit
+
+
+def resolves_oracle(space, subset):
+    """The pair-by-pair loop the all-pairs pass replaced."""
+    idx = sorted({space.index(p) for p in subset})
+    if not idx:
+        return False
+    cols = space.dist[:, idx]
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if not (np.abs(cols[i] - cols[j]) > space.tolerance).any():
+                return False
+    return True
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(raw_spaces(), BLOCK_BUDGETS, st.data())
+def test_resolves_matches_the_loop_oracle(space, budget, data):
+    subset = data.draw(st.sets(st.sampled_from(space.points)))
+    with row_blocks_of(budget):
+        got = resolves(space, subset)
+    assert got == resolves_oracle(space, subset)
 
 
 class TestMetricDimension:

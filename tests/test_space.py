@@ -5,13 +5,19 @@ stated tables (the tables are small enough to check every pair directly).
 """
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexmetric import space as space_module
+from lexmetric.construct import lexicographic
 from lexmetric.space import (
     FiniteMetricSpace,
+    Violation,
+    ValidationReport,
     ball,
     diameter,
     load_space,
@@ -24,6 +30,7 @@ from lexmetric.space import (
     space_to_json,
     validate,
 )
+from lexmetric.theory import random_metric_space
 
 P3_TABLE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
@@ -159,6 +166,13 @@ class TestScalarStats:
         assert st_.slack == max(st_.nearness_per_point.values())
         assert 0 < st_.nearness <= st_.slack <= st_.diameter
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("statistic", [space_stats, nearness, slack])
+    def test_non_finite_table_raises(self, statistic, bad):
+        s = FiniteMetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, bad], [2, bad, 0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            statistic(s)
+
 
 class TestBall:
     def test_center_radius_covering_all(self):
@@ -255,3 +269,135 @@ def test_balls_below_the_cap_are_unchanged(space, t, frac):
     capped = FiniteMetricSpace(space.points, np.minimum(space.dist, 2.0 * t))
     for x in space.points:
         assert ball(space, x, radius) == ball(capped, x, radius)
+
+
+# The per-entry loops the whole-table passes replaced, kept as their oracles.
+
+
+def validate_oracle(space: FiniteMetricSpace) -> ValidationReport:
+    d = space.dist
+    pts = space.points
+    tau = space.tolerance
+    n = space.n
+    out: list[Violation] = []
+    for i in range(n):
+        for j in range(n):
+            if not np.isfinite(d[i, j]):
+                out.append(Violation("finiteness", (pts[i], pts[j]), float(d[i, j]), 0.0))
+    if out:
+        return ValidationReport(ok=False, violations=tuple(out))
+    for i in range(n):
+        if abs(d[i, i]) > tau:
+            out.append(Violation("zero-diagonal", (pts[i],), float(d[i, i]), 0.0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(d[i, j] - d[j, i]) > tau:
+                out.append(
+                    Violation("symmetry", (pts[i], pts[j]), float(d[i, j]), float(d[j, i]))
+                )
+            if d[i, j] <= tau or d[j, i] <= tau:
+                out.append(
+                    Violation(
+                        "positivity", (pts[i], pts[j]), float(min(d[i, j], d[j, i])), 0.0
+                    )
+                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if d[i, j] > d[i, k] + d[k, j] + tau:
+                    out.append(
+                        Violation(
+                            "triangle",
+                            (pts[i], pts[k], pts[j]),
+                            float(d[i, j]),
+                            float(d[i, k] + d[k, j]),
+                        )
+                    )
+    return ValidationReport(ok=not out, violations=tuple(out))
+
+
+def nearness_oracle(space: FiniteMetricSpace, x: str) -> float:
+    i = space.index(x)
+    return float(np.delete(space.dist[i], i).min())
+
+
+# Entries with exact ties, signed zeros, negatives and non-finite values, so
+# every comparison meets its boundary; asymmetric by construction.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(-1.0, 10.0),
+)
+NON_FINITE = st.one_of(ENTRIES, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def raw_spaces(draw, max_points=9):
+    """Arbitrary tables, broken or not, at tolerance 0 or above."""
+    n = draw(st.integers(2, max_points))
+    entries = draw(st.sampled_from([ENTRIES, NON_FINITE]))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    tolerance = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(n)), rows, tolerance=tolerance)
+
+
+# Row-block budgets: one row per block, blocks of several rows ending
+# mid-table, and the whole table in one block.
+BLOCK_BUDGETS = st.sampled_from([1, 100, 200, space_module._BLOCK_ENTRIES])
+
+
+def row_blocks_of(budget: int):
+    return mock.patch.object(space_module, "_BLOCK_ENTRIES", budget)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw_spaces(), BLOCK_BUDGETS)
+def test_validate_matches_the_loop_oracle(space, budget):
+    with row_blocks_of(budget):
+        got = validate(space)
+    # repr, because NaN != NaN in the reported values.
+    assert repr(got) == repr(validate_oracle(space))
+
+
+def test_validate_matches_the_loop_oracle_on_a_70_point_broken_table():
+    rng = np.random.default_rng(70)
+    table = rng.choice([0.0, 0.25, 1.0, 2.0, 3.5], size=(70, 70))
+    space = FiniteMetricSpace(tuple(f"p{i}" for i in range(70)), table, tolerance=0.0)
+    got = validate(space)
+    assert len(got.violations) > 10_000
+    assert repr(got) == repr(validate_oracle(space))
+
+
+def test_seeded_144_point_product_validates():
+    rng = np.random.default_rng(144)
+    product = lexicographic(random_metric_space(rng, 12), random_metric_space(rng, 12))
+    assert product.space.n == 144
+    assert validate(product.space).ok
+
+
+def test_validate_memory_stays_bounded_at_400_points():
+    space = line_space(list(range(400)))
+    tracemalloc.start()
+    try:
+        report = validate(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 16 * 2**20
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(raw_spaces())
+def test_nearness_matches_the_loop_oracle(space):
+    expected = [nearness_oracle(space, x) for x in space.points]
+    # NaN-aware; a zero nearness may come back as 0.0 or -0.0 from either
+    # side, as numpy's min leaves the sign of a zero unspecified.
+    got = [nearness_point(space, x) for x in space.points]
+    assert np.array_equal(got, expected, equal_nan=True)
+    if np.isfinite(space.dist).all():
+        stats = space_stats(space)
+        assert list(stats.nearness_per_point.values()) == expected
+        assert (stats.nearness, stats.slack) == (min(expected), max(expected))
+        assert (nearness(space), slack(space)) == (min(expected), max(expected))

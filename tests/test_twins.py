@@ -2,7 +2,9 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lexmetric.construct import (
     Graph,
@@ -16,9 +18,10 @@ from lexmetric.construct import (
 from lexmetric.resolving import metric_dimension
 from lexmetric.space import FiniteMetricSpace, diameter, nearness, nearness_point
 from lexmetric.theory import connected_graph_spaces, random_pairs, weighted_corpus_spaces
-from lexmetric.twins import is_twins_free, special_classes, twin_classes
+from lexmetric.twins import _twin_matrix, is_twins_free, special_classes, twin_classes
 
 from test_construct import HALF_PAIR, K2
+from test_space import BLOCK_BUDGETS, raw_spaces, row_blocks_of
 
 P3 = graph_metric(path_graph(3))
 P4 = graph_metric(path_graph(4))
@@ -262,3 +265,26 @@ def test_special_classes_agree_with_the_enumeration_oracle(pairs):
         special = special_classes(base, second)
         got = (special.member_classes, special.counterexamples)
         assert got == enumeration_oracle(base, second), (base.points, second.points)
+
+
+def twin_matrix_oracle(space):
+    """The pair-by-pair loop the row-block pass replaced."""
+    d = space.dist
+    n = space.n
+    twins = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mask = np.ones(n, dtype=bool)
+            mask[i] = mask[j] = False
+            twins[i, j] = twins[j, i] = bool(
+                (np.abs(d[i, mask] - d[j, mask]) <= space.tolerance).all()
+            )
+    return twins
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(raw_spaces(), BLOCK_BUDGETS)
+def test_twin_matrix_matches_the_loop_oracle(space, budget):
+    with row_blocks_of(budget):
+        got = _twin_matrix(space)
+    np.testing.assert_array_equal(got, twin_matrix_oracle(space))
