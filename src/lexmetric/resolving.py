@@ -35,12 +35,16 @@ class SolveStats:
 
     ``raw_sets`` counts the distinguisher sets, one per point pair;
     ``reduced_sets`` the distinct ones left after dropping supersets; and
-    ``components`` the independent groups those split into.
+    ``components`` the independent groups those split into. ``nodes`` and
+    ``memo_hits`` count the branching nodes searched and those answered from
+    a component's table, summed over components, and take no part in equality.
     """
 
     raw_sets: int
     reduced_sets: int
     components: int
+    nodes: int = field(default=0, compare=False)
+    memo_hits: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,7 @@ def resolves(space: FiniteMetricSpace, subset) -> bool:
     at the space's tolerance. Deliberately does not go through the pair
     table so it can serve as an independent check of it.
     """
+    _require_finite(space)
     idx = sorted({space.index(p) for p in subset})
     if not idx:
         return False
@@ -108,6 +113,7 @@ def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]
 
     Each set is a bitmask whose bit ``k`` is set when the ``k``-th point in
     label order tells the pair apart; an indistinguishable pair gets 0.
+    Comparing blocks of pairs keeps memory linear in the number of pairs.
     """
     _require_finite(space)
     order = sorted(range(space.n), key=space.points.__getitem__)
@@ -115,7 +121,10 @@ def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]
     d = space.dist[np.ix_(order, order)]
     r = np.arange(space.n)
     first, second = np.nonzero(r[:, None] < r)
-    return labels, _row_masks(np.abs(d[first] - d[second]) > space.tolerance)
+    masks: list[int] = []
+    for rows in _row_blocks(len(first), space.n):
+        masks += _row_masks(np.abs(d[first[rows]] - d[second[rows]]) > space.tolerance)
+    return labels, masks
 
 
 def _row_masks(table: np.ndarray) -> list[int]:
@@ -194,61 +203,63 @@ def _packing_lower_bound(sets: list[int]) -> int:
     return bound
 
 
-def _min_hitting_set_size(sets: list[int], budget: int) -> int | None:
+class _Memo(dict):
+    """A residual family's ``frozenset`` to ``(size, exact)``, with two counters."""
+
+    nodes = hits = 0
+
+
+def _min_hitting_set_size(sets: list[int], budget: int, memo: _Memo) -> int | None:
     """Smallest hitting set size within ``budget``, or None if none fits.
 
     Branches on the pair with the smallest distinguisher set; a candidate
     tried at a node is banned from its later siblings so subtrees never
     overlap. Singleton sets are forced without branching, and nodes are cut
-    once the chosen count plus the disjoint-packing bound cannot beat the
-    incumbent.
+    once the disjoint-packing bound exceeds what is left of the budget.
+    Every set must be non-empty. A branching node's family, banned
+    candidates trimmed, keys ``memo``: its size is exact, or a lower bound
+    of ``limit + 1`` when the search was cut at ``limit``.
     """
-    best: int | None = None
 
-    def search(active: list[int], chosen: int) -> None:
-        nonlocal best
-        limit = budget if best is None else best - 1
-        if chosen > limit:
-            return
+    def search(active: list[int], limit: int) -> int:
+        """The minimum when it is at most ``limit``, else a lower bound above it."""
         if not active:
-            best = chosen
-            return
-        if chosen + _packing_lower_bound(active) > limit:
-            return
+            return 0
+        bound = _packing_lower_bound(active)
+        if bound > limit:
+            return bound
         target = min(active, key=lambda m: (m.bit_count(), m))
-        if not target:
-            return
         if target & (target - 1) == 0:
-            search([m for m in active if not m & target], chosen + 1)
-            return
+            return 1 + search([m for m in active if not m & target], limit - 1)
+        key = frozenset(active)
+        stored = memo.get(key)
+        if stored is not None and (stored[1] or stored[0] > limit):
+            memo.hits += 1
+            return stored[0]
+        memo.nodes += 1
+        best = limit + 1
         banned = 0
         for cand in _positions(target):
             bit = 1 << cand
-            reduced: list[int] = []
-            alive = True
-            for m in active:
-                if m & bit:
-                    continue
-                trimmed = m & ~banned
-                if not trimmed:
-                    alive = False
-                    break
-                reduced.append(trimmed)
-            if alive:
-                search(reduced, chosen + 1)
+            reduced = [m & ~banned for m in active if not m & bit]
+            if all(reduced):
+                best = min(best, 1 + search(reduced, best - 2))
             banned |= bit
+        memo[key] = (best, best <= limit)
+        return best
 
-    search(sets, 0)
-    return best
+    size = search(sets, budget)
+    return size if size <= budget else None
 
 
-def _lex_least_hitting_set(sets: list[int], size: int) -> list[int]:
+def _lex_least_hitting_set(sets: list[int], size: int, memo: _Memo) -> list[int]:
     """The lexicographically least hitting set, of the minimum size ``size``.
 
     Scans the positions the sets use, in order; a position joins the prefix
     when the sets it misses can still be hit from strictly later positions
     within the rest of the budget. A minimum hitting set uses only positions
-    the sets hold and never needs padding.
+    the sets hold and never needs padding. The feasibility checks share
+    ``memo`` with the size search.
     """
     chosen: list[int] = []
     active = sets
@@ -260,7 +271,7 @@ def _lex_least_hitting_set(sets: list[int], size: int) -> list[int]:
         # Clearing bit cand and every bit below it keeps the later positions.
         restricted = [m & -(bit << 1) for m in remaining]
         rest_budget = size - len(chosen) - 1
-        if all(restricted) and _min_hitting_set_size(restricted, rest_budget) is not None:
+        if all(restricted) and _min_hitting_set_size(restricted, rest_budget, memo) is not None:
             chosen.append(cand)
             active = remaining
     if len(chosen) != size or active:
@@ -303,14 +314,16 @@ def _components(masks: list[int]) -> list[list[int]]:
     return [members for _, members in groups]
 
 
-def _solve_component(masks: list[int], budget: int) -> list[int] | None:
+def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _Memo]:
     """Lex-least minimum hitting set of one component, in global positions.
 
     None when every hitting set of the component has more than ``budget``
-    points.
+    points. The size search and the witness reconstruction share one table,
+    returned alongside for its counters; nothing is kept past the call.
     """
-    size = _min_hitting_set_size(masks, min(budget, len(_greedy_hitting_set(masks))))
-    return None if size is None else _lex_least_hitting_set(masks, size)
+    memo = _Memo()
+    size = _min_hitting_set_size(masks, budget, memo)
+    return (None if size is None else _lex_least_hitting_set(masks, size, memo)), memo
 
 
 def _least_basis(
@@ -332,13 +345,15 @@ def _least_basis(
     minimal = _minimal_masks(sets)
     components = _components(minimal)
     witness: list[int] = []
+    nodes = hits = 0
     for masks in components:
-        part = _solve_component(masks, budget - len(witness))
+        part, memo = _solve_component(masks, budget - len(witness))
         if part is None:
             return None
         witness += part
+        nodes, hits = nodes + memo.nodes, hits + memo.hits
     basis = tuple(labels[i] for i in sorted(witness))
-    stats = SolveStats(len(sets), len(minimal), len(components))
+    stats = SolveStats(len(sets), len(minimal), len(components), nodes, hits)
     return ResolveResult(len(basis), basis, None, stats)
 
 

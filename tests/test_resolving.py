@@ -6,11 +6,15 @@ both must report as the lexicographically least one.
 """
 
 import itertools
+import tracemalloc
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from lexmetric import space as space_module
 from lexmetric.construct import (
     Graph,
     complete_graph,
@@ -24,11 +28,14 @@ from lexmetric.construct import (
 from lexmetric.resolving import (
     EnumerationCapExceeded,
     SolveStats,
+    _Memo,
     _components,
     _distinguisher_sets,
     _lex_least_hitting_set,
     _min_hitting_set_size,
     _minimal_masks,
+    _packing_lower_bound,
+    _positions,
     _solve_component,
     coordinates,
     greedy_generator,
@@ -36,7 +43,7 @@ from lexmetric.resolving import (
     pair_table,
     resolves,
 )
-from lexmetric.space import FiniteMetricSpace, nearness
+from lexmetric.space import FiniteMetricSpace, _row_blocks, nearness
 from lexmetric.theory import formula_rhs, random_connected_graph, random_metric_space
 from lexmetric.twins import twin_classes
 
@@ -96,8 +103,9 @@ NAN_PAIR = FiniteMetricSpace(("a", "b", "c"), [[0, np.nan, 1], [np.nan, 0, 1], [
         lambda space: metric_dimension(space, method="enumeration"),
         pair_table,
         greedy_generator,
+        lambda space: resolves(space, space.points),
     ],
-    ids=["bnb", "enumeration", "pair_table", "greedy_generator"],
+    ids=["bnb", "enumeration", "pair_table", "greedy_generator", "resolves"],
 )
 def test_non_finite_table_raises(entry):
     with pytest.raises(ValueError, match="distance table has non-finite entries"):
@@ -190,6 +198,10 @@ def resolves_oracle(space, subset):
 def test_resolves_matches_the_loop_oracle(space, budget, data):
     subset = data.draw(st.sets(st.sampled_from(space.points)))
     with row_blocks_of(budget):
+        if not np.isfinite(space.dist).all():
+            with pytest.raises(ValueError, match="non-finite"):
+                resolves(space, subset)
+            return
         got = resolves(space, subset)
     assert got == resolves_oracle(space, subset)
 
@@ -254,6 +266,8 @@ class TestMetricDimension:
         # Only the diagonals {v1, v3} and {v2, v4} are left, and they share no point.
         fast = metric_dimension(C4)
         assert fast.stats == SolveStats(raw_sets=6, reduced_sets=2, components=2)
+        assert (fast.stats.nodes, fast.stats.memo_hits) == (2, 0)
+        assert fast.stats == SolveStats(6, 2, 2, nodes=0, memo_hits=99)
         oracle = metric_dimension(C4, method="enumeration")
         assert oracle.stats is None
         assert fast == oracle
@@ -329,7 +343,71 @@ def hits(candidates, sets) -> bool:
 def kernel_witness(sets: list[int]) -> list[int]:
     """Union of the per-component lex-least witnesses of the reduced family."""
     components = _components(_minimal_masks(sets))
-    return sorted(i for masks in components for i in _solve_component(masks, len(masks)))
+    return sorted(i for masks in components for i in _solve_component(masks, len(masks))[0])
+
+
+def plain_min_hitting_set_size(sets: list[int], budget: int) -> int | None:
+    """Plain branch and bound with no table: the oracle of the memoized search.
+
+    Keeps one incumbent for the whole tree, forces singleton sets, cuts on
+    the disjoint-packing bound and bans each tried candidate from its later
+    siblings.
+    """
+    best: int | None = None
+
+    def search(active: list[int], chosen: int) -> None:
+        nonlocal best
+        limit = budget if best is None else best - 1
+        if chosen > limit:
+            return
+        if not active:
+            best = chosen
+            return
+        if chosen + _packing_lower_bound(active) > limit:
+            return
+        target = min(active, key=lambda m: (m.bit_count(), m))
+        if not target:
+            return
+        if target & (target - 1) == 0:
+            search([m for m in active if not m & target], chosen + 1)
+            return
+        banned = 0
+        for cand in _positions(target):
+            bit = 1 << cand
+            reduced: list[int] = []
+            alive = True
+            for m in active:
+                if m & bit:
+                    continue
+                trimmed = m & ~banned
+                if not trimmed:
+                    alive = False
+                    break
+                reduced.append(trimmed)
+            if alive:
+                search(reduced, chosen + 1)
+            banned |= bit
+
+    search(sets, 0)
+    return best
+
+
+def plain_lex_least_hitting_set(sets: list[int], size: int) -> list[int]:
+    """The lex-least hitting set of the minimum size ``size``, by plain feasibility checks."""
+    chosen: list[int] = []
+    active = sets
+    for cand in _positions(reduce(or_, sets, 0)):
+        if len(chosen) == size:
+            break
+        bit = 1 << cand
+        remaining = [m for m in active if not m & bit]
+        restricted = [m & -(bit << 1) for m in remaining]
+        rest_budget = size - len(chosen) - 1
+        if all(restricted) and plain_min_hitting_set_size(restricted, rest_budget) is not None:
+            chosen.append(cand)
+            active = remaining
+    assert len(chosen) == size and not active
+    return chosen
 
 
 # Non-empty set families on at most 8 candidates, as bitmasks.
@@ -359,6 +437,33 @@ def test_component_witnesses_form_the_lex_least_minimum_hitting_set(sets):
     assert kernel_witness(sets) == brute
 
 
+# Every 3-subset of 5 candidates: the sets pairwise meet, so the packing
+# bound is 1 and cuts nothing, while the minimum is 3.
+TRIPLES_OF_FIVE = [sum(1 << i for i in c) for c in itertools.combinations(range(5), 3)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(set_families)
+@example(TRIPLES_OF_FIVE)
+def test_memoized_search_agrees_with_plain_branch_and_bound(sets):
+    """Size and witness at every budget, each from a fresh table or one shared table.
+
+    The shared table sees the budgets ascending, descending and ascending
+    again, so searches meet the lower bounds that tighter budgets stored,
+    at the root and below it.
+    """
+    shared = _Memo()
+    for budget in [*range(9), *range(8, -1, -1), *range(9)]:
+        expected = plain_min_hitting_set_size(sets, budget)
+        for memo in (_Memo(), shared):
+            size = _min_hitting_set_size(sets, budget, memo)
+            assert size == expected
+            if size is not None:
+                assert _lex_least_hitting_set(sets, size, memo) == (
+                    plain_lex_least_hitting_set(sets, size)
+                )
+
+
 def test_interleaved_components():
     """Components {0, 2, 4} and {1, 3} interleave in label order."""
     sets = [0b101, 0b10100, 0b1010]
@@ -384,8 +489,8 @@ def solver_spaces(draw):
 @given(solver_spaces())
 def test_kernel_agrees_with_plain_branch_and_bound_and_enumeration(space):
     labels, sets = _distinguisher_sets(space)
-    size = _min_hitting_set_size(sets, space.n)
-    plain_basis = tuple(labels[i] for i in _lex_least_hitting_set(sets, size))
+    size = plain_min_hitting_set_size(sets, space.n)
+    plain_basis = tuple(labels[i] for i in plain_lex_least_hitting_set(sets, size))
     plain_all = tuple(
         tuple(labels[i] for i in combo)
         for combo in itertools.combinations(range(space.n), size)
@@ -413,8 +518,8 @@ def weighted_7x7(seed: int, index: int):
 @pytest.mark.parametrize(
     "seed, index, stats",
     [
-        (0, 1, SolveStats(raw_sets=1176, reduced_sets=23, components=7)),
-        (1, 4, SolveStats(raw_sets=1176, reduced_sets=46, components=7)),
+        (0, 1, SolveStats(raw_sets=1176, reduced_sets=23, components=7, nodes=13, memo_hits=2)),
+        (1, 4, SolveStats(raw_sets=1176, reduced_sets=46, components=7, nodes=16, memo_hits=4)),
     ],
 )
 def test_heavy_tail_products_solve(seed, index, stats):
@@ -425,6 +530,59 @@ def test_heavy_tail_products_solve(seed, index, stats):
     assert resolves(product, result.basis)
     assert result.dimension == len(result.basis) == formula_rhs(base, second)
     assert result.stats == stats
+    assert (result.stats.nodes, result.stats.memo_hits) == (stats.nodes, stats.memo_hits)
+
+
+def test_twin_rich_complete_base_product_solves():
+    """K6 o G, 36 points in one component of 288 sets: 34 s without the table."""
+    k = tuple(f"k{i}" for i in range(1, 7))
+    base = graph_metric(Graph(k, tuple((a, b, 1.0) for a, b in itertools.combinations(k, 2))))
+    u = tuple(f"u{i}" for i in range(1, 7))
+    edges = ("u1u2", "u1u5", "u1u6", "u2u3", "u2u4", "u2u5", "u3u4", "u4u5")
+    second = graph_metric(Graph(u, tuple((e[:2], e[2:], 1.0) for e in edges)))
+    result = metric_dimension(lexicographic(base, second).space)
+    expected = [f"{x}|{y}" for x in k[:5] for y in ("u1", "u2", "u3")] + ["k6|u1", "k6|u5"]
+    assert result.dimension == 17 == formula_rhs(base, second)
+    assert result.basis == tuple(expected)
+    assert result.stats == SolveStats(raw_sets=630, reduced_sets=288, components=1)
+    assert (result.stats.nodes, result.stats.memo_hits) == (691, 750)
+
+
+def distinguisher_sets_oracle(space: FiniteMetricSpace) -> list[int]:
+    """Each label-sorted pair's separators as a bitmask, one pair at a time."""
+    labels = sorted(space.points)
+    masks = []
+    for u, v in itertools.combinations(labels, 2):
+        apart = np.abs(space.dist[space.index(u)] - space.dist[space.index(v)]) > space.tolerance
+        masks.append(sum(1 << k for k, p in enumerate(labels) if apart[space.index(p)]))
+    return masks
+
+
+@pytest.mark.parametrize("budget", [1, 100, 200, space_module._BLOCK_ENTRIES])
+@pytest.mark.parametrize(
+    "space", [P4, C5, *SHUFFLED, shuffled(lexicographic(C7, C10).space, seed=7)],
+    ids=["P4", "C5", "C10", "G11", "C7xC10"],
+)
+def test_distinguisher_sets_are_the_same_in_any_blocks(space, budget):
+    with row_blocks_of(budget):
+        labels, masks = _distinguisher_sets(space)
+    assert labels == sorted(space.points)
+    assert masks == distinguisher_sets_oracle(space)
+
+
+def test_distinguisher_sets_memory_stays_linear_in_the_pairs():
+    """256 points: one n**3 float array would take 128 MB."""
+    rng = np.random.default_rng(256)
+    space = random_metric_space(rng, 256)
+    assert len(list(_row_blocks(256 * 255 // 2, 256))) > 1
+    tracemalloc.start()
+    try:
+        _, masks = _distinguisher_sets(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == 256 * 255 // 2
+    assert peak < 16 * 2**20
 
 
 def ilp_dimension(space: FiniteMetricSpace) -> int:
