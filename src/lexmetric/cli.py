@@ -20,9 +20,10 @@ import json
 import sys
 
 from .construct import graph_metric, gravitational, lexicographic, load_graph, squash
-from .resolving import greedy_generator, metric_dimension
+from .resolving import DEFAULT_ENUMERATION_CAP, greedy_generator, metric_dimension
 from .space import FiniteMetricSpace, _require_finite, load_space, space_stats, space_to_json, validate
 from .theory import (
+    DEFAULT_PRODUCT_CAP,
     random_pairs,
     verify_all,
     verify_corollaries,
@@ -143,7 +144,7 @@ def cmd_dim(args, space):
 
 def cmd_twins(args, space):
     partition = twin_classes(space)
-    twins_free = all(len(c) == 1 for c in partition.classes)
+    twins_free = not partition.non_singleton_classes
     doc = {
         "classes": [list(c) for c in partition.classes],
         "twins_free": twins_free,
@@ -281,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-enumeration-points",
         type=int,
-        default=16,
-        help="refuse complete basis enumeration beyond this many points (default 16)",
+        default=DEFAULT_ENUMERATION_CAP,
+        help="refuse complete basis enumeration beyond this many points (default %(default)s)",
     )
     p.add_argument("--greedy", action="store_true", help="also report the greedy resolving set")
     p.add_argument("--all-bases", action="store_true", help="enumerate every minimum basis")
@@ -298,8 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-product-points",
             type=int,
-            default=36,
-            help="refuse products larger than this (default 36)",
+            default=DEFAULT_PRODUCT_CAP,
+            help="refuse products larger than this (default %(default)s)",
         )
     return parser
 

@@ -137,20 +137,7 @@ def complete_graph(n: int) -> Graph:
     return Graph(tuple(labels), tuple(edges))
 
 
-def _single_source(adj: dict[str, list[tuple[str, float]]], source: str, unit: bool) -> dict[str, float]:
-    if unit:
-        # Breadth-first search; unit weights keep the distances integral.
-        dist = {source: 0.0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, _w in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1.0
-                        nxt.append(v)
-            frontier = nxt
-        return dist
+def _single_source(adj: dict[str, list[tuple[str, float]]], source: str) -> dict[str, float]:
     dist = {source: 0.0}
     heap: list[tuple[float, str]] = [(0.0, source)]
     done: set[str] = set()
@@ -170,19 +157,18 @@ def _single_source(adj: dict[str, list[tuple[str, float]]], source: str, unit: b
 def graph_metric(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> FiniteMetricSpace:
     """Shortest-path metric of a connected graph.
 
-    Runs one single-source pass per vertex: breadth-first search when every
-    weight is exactly 1, a heap-based search otherwise. Raises
+    Runs one heap-based single-source search per vertex; on unit weights
+    the distances stay integral, since sums of 1.0 are exact. Raises
     DisconnectedGraphError naming an unreachable pair.
     """
     adj: dict[str, list[tuple[str, float]]] = {v: [] for v in g.vertices}
     for u, v, w in g.edges:
         adj[u].append((v, w))
         adj[v].append((u, w))
-    unit = all(w == 1.0 for _u, _v, w in g.edges)
     n = len(g.vertices)
     table = np.zeros((n, n))
     for i, src in enumerate(g.vertices):
-        dist = _single_source(adj, src, unit)
+        dist = _single_source(adj, src)
         if len(dist) != n:
             missing = next(v for v in g.vertices if v not in dist)
             raise DisconnectedGraphError(

@@ -14,7 +14,7 @@ is kept behind a flag as its oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
@@ -327,7 +327,7 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
 
 
 def _least_basis(
-    space: FiniteMetricSpace, must_hit: np.ndarray, budget: int
+    space: FiniteMetricSpace, must_hit: np.ndarray, budget: int, enumerate_all: bool = False
 ) -> ResolveResult | None:
     """The lex-least smallest resolving set that also meets every row of ``must_hit``.
 
@@ -335,7 +335,8 @@ def _least_basis(
     order; each row is one more set the basis must hit. Returns None when no
     such set has at most ``budget`` points. With no rows and a budget of
     ``space.n`` this is the least metric basis, solved as
-    :func:`metric_dimension` describes.
+    :func:`metric_dimension` describes. With ``enumerate_all`` every such
+    set of the least size is listed as well, from the same minimal sets.
     """
     labels, sets = _distinguisher_sets(space)
     _require_distinguishable(labels, sets)
@@ -353,8 +354,15 @@ def _least_basis(
         witness += part
         nodes, hits = nodes + memo.nodes, hits + memo.hits
     basis = tuple(labels[i] for i in sorted(witness))
+    all_bases = None
+    if enumerate_all:
+        all_bases = tuple(
+            tuple(labels[i] for i in combo)
+            for combo in itertools.combinations(range(space.n), len(basis))
+            if all(sum(1 << i for i in combo) & m for m in minimal)
+        )
     stats = SolveStats(len(sets), len(minimal), len(components), nodes, hits)
-    return ResolveResult(len(basis), basis, None, stats)
+    return ResolveResult(len(basis), basis, all_bases, stats)
 
 
 def metric_dimension(
@@ -410,14 +418,4 @@ def metric_dimension(
             )
         return ResolveResult(dimension, found, all_bases)
 
-    result = _least_basis(space, np.zeros((0, space.n), dtype=bool), space.n)
-    if enumerate_all:
-        _, sets = _distinguisher_sets(space)
-        minimal = _minimal_masks(sets)
-        all_bases = tuple(
-            tuple(candidates[i] for i in combo)
-            for combo in itertools.combinations(range(space.n), result.dimension)
-            if all(sum(1 << i for i in combo) & m for m in minimal)
-        )
-        result = replace(result, all_bases=all_bases)
-    return result
+    return _least_basis(space, np.zeros((0, space.n), dtype=bool), space.n, enumerate_all)

@@ -168,7 +168,7 @@ class _Pair:
         return VerificationReport("diameter", lhs, rhs, bool(abs(lhs - rhs) <= tol), witnesses)
 
     def corollary_reports(self) -> list[VerificationReport]:
-        if all(len(c) == 1 for c in self.partition.classes):
+        if not self.partition.non_singleton_classes:
             lhs, dims = self.product_solve.dimension, dict(self.fiber_dimensions)
             rhs = sum(dims.values())
             witnesses = {"fiber_dimensions": dims, "product_points": self.product.space.n}

@@ -57,43 +57,31 @@ def _twin_matrix(space: FiniteMetricSpace) -> np.ndarray:
 def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
     """Partition the points into twin equivalence classes.
 
-    The relation is computed pairwise and then verified to be transitive;
-    with exact tables it always is, but tolerance chains could break it, and
-    a broken partition raises rather than being silently repaired.
+    Each point is labeled with its least twin. The relation is transitive
+    exactly when every point's row of the twin matrix equals its least
+    twin's row; with exact tables it always is, but tolerance chains could
+    break it, and a broken partition raises rather than being silently
+    repaired.
     """
     _require_finite(space)
-    twins = _twin_matrix(space)
-    n = space.n
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if twins[i, j]:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    for members in groups.values():
-        for a, b in itertools.combinations(members, 2):
-            if not twins[a, b]:
-                raise ValueError(
-                    "twin relation is not transitive at this tolerance: "
-                    f"{space.points[a]!r} and {space.points[b]!r} are linked but not twins"
-                )
-
-    classes = tuple(
-        sorted(
-            (tuple(sorted(space.points[i] for i in members)) for members in groups.values()),
-            key=lambda c: c[0],
+    same = _twin_matrix(space)
+    np.fill_diagonal(same, True)
+    least = same.argmax(axis=1)
+    broken = same != same[least]
+    if broken.any():
+        # Row i and its least twin's row differ at m: one of the two is
+        # linked to m through the other without being m's twin.
+        i, m = np.argwhere(broken)[0]
+        a = least[i] if same[i, m] else i
+        raise ValueError(
+            "twin relation is not transitive at this tolerance: "
+            f"{space.points[a]!r} and {space.points[m]!r} are linked but not twins"
         )
-    )
+    groups: dict[int, list[str]] = {}
+    for point, root in zip(space.points, least.tolist()):
+        groups.setdefault(root, []).append(point)
+    # Disjoint classes differ in their first member, so tuple order is label order.
+    classes = tuple(sorted(tuple(sorted(members)) for members in groups.values()))
     gap: dict[tuple[str, ...], float] = {}
     class_nearness: dict[tuple[str, ...], float] = {}
     values = _nearness_values(space)
@@ -113,7 +101,7 @@ def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
 
 def is_twins_free(space: FiniteMetricSpace) -> bool:
     """True when every twin class is a singleton."""
-    return all(len(c) == 1 for c in twin_classes(space).classes)
+    return not twin_classes(space).non_singleton_classes
 
 
 @dataclass(frozen=True)

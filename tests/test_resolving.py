@@ -9,12 +9,13 @@ import itertools
 import tracemalloc
 from functools import reduce
 from operator import or_
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexmetric import space as space_module
+from lexmetric import resolving as resolving_module, space as space_module
 from lexmetric.construct import (
     Graph,
     complete_graph,
@@ -243,6 +244,17 @@ class TestMetricDimension:
             assert resolves(space, result.basis)
             for smaller in itertools.combinations(space.points, result.dimension - 1):
                 assert not resolves(space, smaller)
+
+    def test_enumeration_builds_the_sets_once(self):
+        """The complete list of bases walks the minimal sets the solve built."""
+        sets = mock.patch.object(
+            resolving_module, "_distinguisher_sets", wraps=_distinguisher_sets
+        )
+        masks = mock.patch.object(resolving_module, "_minimal_masks", wraps=_minimal_masks)
+        with sets as built, masks as reduced:
+            result = metric_dimension(graph_metric(cycle_graph(6)), enumerate_all=True)
+        assert (built.call_count, reduced.call_count) == (1, 1)
+        assert result.dimension == 2 and result.basis == result.all_bases[0]
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapExceeded, match="17"):

@@ -1,6 +1,7 @@
 """Twin classes and the far-witness test for special classes."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,19 @@ from lexmetric.construct import (
     discrete_metric,
     graph_metric,
     gravitational,
+    lexicographic,
     path_graph,
 )
 from lexmetric.resolving import metric_dimension
 from lexmetric.space import FiniteMetricSpace, diameter, nearness, nearness_point
 from lexmetric.theory import connected_graph_spaces, random_pairs, weighted_corpus_spaces
-from lexmetric.twins import _twin_matrix, is_twins_free, special_classes, twin_classes
+from lexmetric.twins import (
+    TwinPartition,
+    _twin_matrix,
+    is_twins_free,
+    special_classes,
+    twin_classes,
+)
 
 from test_construct import HALF_PAIR, K2
 from test_space import BLOCK_BUDGETS, raw_spaces, row_blocks_of
@@ -64,6 +72,17 @@ class TestTwinClasses:
         partition = twin_classes(star_space(3))
         assert partition.classes == (("c",), ("l1", "l2", "l3"))
         assert partition.gap[("l1", "l2", "l3")] == 2.0
+
+    def test_tolerance_chain_names_a_linked_pair_that_is_not_twins(self):
+        # a~b, b~c and c~k within 0.1, but k sees a and c 0.12 apart.
+        chain = FiniteMetricSpace(
+            ("a", "b", "c", "k"),
+            [[0, 1, 1, 1.0], [1, 0, 1, 1.06], [1, 1, 0, 1.12], [1.0, 1.06, 1.12, 0]],
+            tolerance=0.1,
+        )
+        with pytest.raises(ValueError) as raised:
+            twin_classes(chain)
+        assert str(raised.value) == TRANSITIVITY + "'a' and 'c' are linked but not twins"
 
     def test_non_finite_table_raises(self):
         inf = float("inf")
@@ -288,3 +307,87 @@ def test_twin_matrix_matches_the_loop_oracle(space, budget):
     with row_blocks_of(budget):
         got = _twin_matrix(space)
     np.testing.assert_array_equal(got, twin_matrix_oracle(space))
+
+
+TRANSITIVITY = "twin relation is not transitive at this tolerance: "
+
+
+def union_find_twin_classes(space):
+    """The union-find partition the least-twin labeling replaced.
+
+    Links every twin pair, then checks each group pair by pair; the first
+    non-twin pair, in group then index order, is named.
+    """
+    twins = _twin_matrix(space)
+    parent = list(range(space.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in itertools.combinations(range(space.n), 2):
+        if twins[i, j]:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(space.n):
+        groups.setdefault(find(i), []).append(i)
+    for members in groups.values():
+        for a, b in itertools.combinations(members, 2):
+            if not twins[a, b]:
+                raise ValueError(
+                    TRANSITIVITY
+                    + f"{space.points[a]!r} and {space.points[b]!r} are linked but not twins"
+                )
+    classes = tuple(
+        sorted(tuple(sorted(space.points[i] for i in g)) for g in groups.values())
+    )
+    gap, class_nearness = {}, {}
+    for cls in classes:
+        if len(cls) == 1:
+            continue
+        pairwise = [space.d(u, v) for u, v in itertools.combinations(cls, 2)]
+        if max(pairwise) - min(pairwise) > 2 * space.tolerance:
+            raise ValueError(f"within-class distances of {cls!r} are not constant")
+        near = [nearness_point(space, u) for u in cls]
+        if max(near) - min(near) > 2 * space.tolerance:
+            raise ValueError(f"within-class nearness of {cls!r} is not constant")
+        gap[cls] = space.d(cls[0], cls[1])
+        class_nearness[cls] = near[0]
+    return TwinPartition(classes, gap, class_nearness)
+
+
+def partition_or_error(partition, space):
+    try:
+        return partition(space)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_matches_the_union_find_oracle(space):
+    got = partition_or_error(twin_classes, space)
+    want = partition_or_error(union_find_twin_classes, space)
+    if isinstance(want, str) and want.startswith(TRANSITIVITY):
+        # Any linked non-twin pair shows the break; the two may name different ones.
+        assert isinstance(got, str) and got.startswith(TRANSITIVITY)
+        a, b = (space.index(p) for p in re.findall(r"'([^']*)'", got[len(TRANSITIVITY):]))
+        twins = _twin_matrix(space)
+        assert a != b and not twins[a, b]
+        assert (twins[a] & twins[b]).any()
+    else:
+        assert got == want
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(raw_spaces().filter(lambda space: np.isfinite(space.dist).all()), BLOCK_BUDGETS)
+def test_partition_matches_the_union_find_oracle(space, budget):
+    with row_blocks_of(budget):
+        assert_matches_the_union_find_oracle(space)
+
+
+def test_partition_matches_the_union_find_oracle_on_the_corpora():
+    spaces = connected_graph_spaces(2, 5) + weighted_corpus_spaces()
+    for base, second in random_pairs(5, 40):
+        spaces += [base, second, lexicographic(base, second).space]
+    for space in spaces:
+        assert_matches_the_union_find_oracle(space)
