@@ -14,7 +14,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, _nearness_values, _require_finite
+from .space import (
+    DEFAULT_TOLERANCE,
+    FiniteMetricSpace,
+    _asymmetric,
+    _nearness_values,
+    _require_finite,
+)
 
 PRODUCT_SEP = "|"
 
@@ -227,6 +233,18 @@ class ProductSpace:
     fiber_of: Mapping[str, str]
 
 
+def _require_symmetric(space: FiniteMetricSpace, role: str) -> None:
+    """Raise on the first pair, in label order, whose two distances differ past the tolerance."""
+    asymmetric = _asymmetric(space)
+    if asymmetric.any():
+        pairs = zip(*np.nonzero(asymmetric))
+        u, v = min(sorted((space.points[i], space.points[j])) for i, j in pairs)
+        raise ValueError(
+            f"the {role} is not symmetric at tolerance: "
+            f"d({u!r}, {v!r}) = {space.d(u, v)} but d({v!r}, {u!r}) = {space.d(v, u)}"
+        )
+
+
 def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> ProductSpace:
     """Lexicographic product of two spaces.
 
@@ -234,9 +252,13 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     distance; inside a fiber the second space's distance is capped at twice
     the nearness of that fiber's base point. The per-point cap matters: a
     weighted base space with uneven nearness caps each fiber differently.
+    Both factors must be symmetric at their tolerance, since each base
+    distance fills the two blocks between its fibers.
     """
     _require_finite(first)
     _require_finite(second)
+    _require_symmetric(first, "base")
+    _require_symmetric(second, "second factor")
     near = _nearness_values(first)
     if not near.min() > 0:
         raise ValueError("the base space must have positive nearness")

@@ -114,6 +114,8 @@ def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]
     Each set is a bitmask whose bit ``k`` is set when the ``k``-th point in
     label order tells the pair apart; an indistinguishable pair gets 0.
     Comparing blocks of pairs keeps memory linear in the number of pairs.
+    Each block's differences are taken in place, because a fresh array per
+    step costs about as much as the arithmetic on it.
     """
     _require_finite(space)
     order = sorted(range(space.n), key=space.points.__getitem__)
@@ -123,14 +125,26 @@ def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]
     first, second = np.nonzero(r[:, None] < r)
     masks: list[int] = []
     for rows in _row_blocks(len(first), space.n):
-        masks += _row_masks(np.abs(d[first[rows]] - d[second[rows]]) > space.tolerance)
+        diff = d[first[rows]]
+        diff -= d[second[rows]]
+        masks += _row_masks(np.abs(diff, out=diff) > space.tolerance)
     return labels, masks
 
 
 def _row_masks(table: np.ndarray) -> list[int]:
-    """Each row of a boolean table as a bitmask whose bit ``k`` is column ``k``."""
-    rows = np.packbits(table, axis=1, bitorder="little")
-    return [int.from_bytes(row, "little") for row in rows]
+    """Each row of a boolean table as a bitmask whose bit ``k`` is column ``k``.
+
+    Rows of up to 64 columns are padded to one little-endian 64-bit word
+    each and become Python ints in one ``tolist``. Wider rows are read one
+    ``int.from_bytes`` each, which measured faster than combining their
+    words in Python.
+    """
+    packed = np.packbits(table, axis=1, bitorder="little")
+    if packed.shape[1] > 8:
+        return [int.from_bytes(row, "little") for row in packed]
+    words = np.zeros((len(packed), 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8")[:, 0].tolist()
 
 
 def _positions(mask: int) -> list[int]:
@@ -140,6 +154,8 @@ def _positions(mask: int) -> list[int]:
 
 def _require_distinguishable(labels: list[str], sets: list[int]) -> None:
     """Raise on the first empty distinguisher set, naming its pair."""
+    if all(sets):
+        return
     for pair, s in zip(itertools.combinations(labels, 2), sets):
         if not s:
             raise ValueError(

@@ -89,6 +89,11 @@ def _require_finite(space: FiniteMetricSpace) -> None:
         raise ValueError("distance table has non-finite entries")
 
 
+def _asymmetric(space: FiniteMetricSpace) -> np.ndarray:
+    """Mask of the entries whose two directions differ by more than the tolerance."""
+    return np.abs(space.dist - space.dist.T) > space.tolerance
+
+
 def _table_key(space: FiniteMetricSpace) -> tuple:
     """What a solve on ``space`` depends on: its labels, tolerance and table."""
     return space.points, space.tolerance, space.dist.tobytes()
@@ -143,7 +148,7 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
         return ValidationReport(ok=False, violations=tuple(out))
     for i in np.flatnonzero(np.abs(np.diagonal(d)) > tau):
         out.append(Violation("zero-diagonal", (pts[i],), float(d[i, i]), 0.0))
-    asymmetric = np.abs(d - d.T) > tau
+    asymmetric = _asymmetric(space)
     close = (d <= tau) | (d.T <= tau)
     for i, j in zip(*np.nonzero(asymmetric | close)):
         if i >= j:

@@ -349,6 +349,7 @@ GOLDEN = [
     ("squash-w3-json", "squash w3.json --eta 1 --json", 0),
     ("product-k2-w3", "product k2.json w3.json", 0),
     ("product-k2-w3-json", "product k2.json w3.json --json", 0),
+    ("product-nonmetric-k2", "product nonmetric.json k2.json", 2),
     ("dim-p4", "dim p4.edges", 0),
     ("dim-c5", "dim c5.edges --greedy --all-bases", 0),
     ("dim-c5-json", "dim c5.edges --greedy --all-bases --json", 0),
@@ -370,8 +371,8 @@ GOLDEN = [
     ("verify-k2-w3-diameter", "verify k2.json w3.json --theorem diameter", 0),
     ("verify-c5-k2-squash", "verify c5.edges k2.json --theorem squash --json", 0),
     ("verify-k4-k2-corollaries", "verify k4.edges k2.json --theorem corollaries", 0),
-    ("verify-nonmetric-k2", "verify nonmetric.json k2.json", 1),
-    ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 1),
+    ("verify-nonmetric-k2", "verify nonmetric.json k2.json", 2),
+    ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 2),
     ("corpus-5", "corpus --seed 5 --count 30", 0),
     ("corpus-9-json", "corpus --seed 9 --count 3 --json", 0),
     ("error-missing-file", "stats missing.json", 2),

@@ -191,6 +191,23 @@ class TestLexicographic:
         with pytest.raises(ValueError, match="distance table has non-finite entries"):
             lexicographic(*factors)
 
+    @pytest.mark.parametrize("position", ["base", "second factor"])
+    def test_rejects_asymmetric_factor_naming_the_first_pair_in_label_order(self, position):
+        # (c, a) comes first in point order and (a, b) in label order.
+        skew = FiniteMetricSpace(("c", "a", "b"), [[0, 3, 2], [1, 0, 2], [2, 4, 0]])
+        factors = (skew, K2) if position == "base" else (K2, skew)
+        message = (
+            f"the {position} is not symmetric at tolerance: "
+            "d('a', 'b') = 2.0 but d('b', 'a') = 4.0"
+        )
+        with pytest.raises(ValueError) as raised:
+            lexicographic(*factors)
+        assert str(raised.value) == message
+
+    def test_asymmetry_within_tolerance_is_accepted(self):
+        near = FiniteMetricSpace(("a", "b"), [[0, 1.0], [1.0 + 1e-10, 0]])
+        assert lexicographic(near, K2).space.d("b|v1", "a|v1") == 1.0
+
     def test_product_size(self):
         prod = lexicographic(graph_metric(path_graph(3)), graph_metric(path_graph(4)))
         assert prod.space.n == 12

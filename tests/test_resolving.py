@@ -5,6 +5,7 @@ The branch-and-bound solver is validated against plain subset enumeration
 both must report as the lexicographically least one.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 from functools import reduce
@@ -37,6 +38,7 @@ from lexmetric.resolving import (
     _minimal_masks,
     _packing_lower_bound,
     _positions,
+    _row_masks,
     _solve_component,
     coordinates,
     greedy_generator,
@@ -297,6 +299,20 @@ def test_solvers_agree_including_witness(space):
     assert fast.dimension == oracle.dimension
     assert fast.basis == oracle.basis
     assert fast.all_bases == oracle.all_bases
+
+
+# Two indistinguishable pairs, (c, d) first in point order, (a, b) first in label order.
+TWO_NEAR_DUPLICATES = FiniteMetricSpace(
+    ("d", "c", "b", "a"),
+    [[0, 1e-10, 1, 1], [1e-10, 0, 1, 1], [1, 1, 0, 1e-10], [1, 1, 1e-10, 0]],
+)
+
+
+@pytest.mark.parametrize("entry", [metric_dimension, greedy_generator])
+def test_indistinguishable_message_names_the_first_pair_in_label_order(entry):
+    with pytest.raises(ValueError) as raised:
+        entry(TWO_NEAR_DUPLICATES)
+    assert str(raised.value) == "points 'a' and 'b' are indistinguishable at tolerance"
 
 
 class TestGreedy:
@@ -580,6 +596,40 @@ def test_distinguisher_sets_are_the_same_in_any_blocks(space, budget):
         labels, masks = _distinguisher_sets(space)
     assert labels == sorted(space.points)
     assert masks == distinguisher_sets_oracle(space)
+
+
+def row_masks_oracle(table: np.ndarray) -> list[int]:
+    """Each row's packed bytes read as one little-endian int, one row at a time."""
+    rows = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(0, 300),
+    st.sampled_from([1, 7, 8, 63, 64, 65, 128, 129, 400]),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_masks_match_the_per_row_oracle(rows, width, density, seed):
+    table = np.random.default_rng(seed).random((rows, width)) < density
+    masks = _row_masks(table)
+    assert masks == row_masks_oracle(table)
+    assert all(type(m) is int for m in masks)
+
+
+@pytest.mark.parametrize("n", [10, 12, 20])
+def test_solve_past_one_word_matches_the_per_row_conversion(n):
+    """Weighted products of 100, 144 and 400 points: two to seven words a row."""
+    rng = np.random.default_rng(n)
+    product = lexicographic(
+        random_metric_space(rng, n, prefix="x"), random_metric_space(rng, n, prefix="y")
+    ).space
+    fast = metric_dimension(product)
+    with mock.patch.object(resolving_module, "_row_masks", row_masks_oracle):
+        oracle = metric_dimension(product)
+    assert (fast.dimension, fast.basis) == (oracle.dimension, oracle.basis)
+    assert dataclasses.astuple(fast.stats) == dataclasses.astuple(oracle.stats)
 
 
 def test_distinguisher_sets_memory_stays_linear_in_the_pairs():
