@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _require_finite, _row_blocks
+from .space import FiniteMetricSpace, _require_finite, _row_blocks, _table_key
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -37,7 +37,8 @@ class SolveStats:
     ``reduced_sets`` the distinct ones left after dropping supersets; and
     ``components`` the independent groups those split into. ``nodes`` and
     ``memo_hits`` count the branching nodes searched and those answered from
-    a component's table, summed over components, and take no part in equality.
+    a component's table, and ``prunes`` the searches cut by the packing
+    bound; all three are summed over components and take no part in equality.
     """
 
     raw_sets: int
@@ -45,6 +46,7 @@ class SolveStats:
     components: int
     nodes: int = field(default=0, compare=False)
     memo_hits: int = field(default=0, compare=False)
+    prunes: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -204,15 +206,15 @@ def greedy_generator(space: FiniteMetricSpace) -> tuple[str, ...]:
     return tuple(labels[i] for i in _greedy_hitting_set(sets))
 
 
-def _packing_lower_bound(sets: list[int]) -> int:
-    """Greedy packing of pairwise disjoint distinguisher sets.
+def _packing_lower_bound(ordered: list[int]) -> int:
+    """Greedy packing of pairwise disjoint sets, in the order given.
 
     Disjoint sets need distinct hitters, so the packing size bounds the
     hitting set from below.
     """
     used = 0
     bound = 0
-    for m in sorted(sets, key=lambda m: (m.bit_count(), m)):
+    for m in ordered:
         if not used & m:
             bound += 1
             used |= m
@@ -220,9 +222,9 @@ def _packing_lower_bound(sets: list[int]) -> int:
 
 
 class _Memo(dict):
-    """A residual family's ``frozenset`` to ``(size, exact)``, with two counters."""
+    """A residual family's ``frozenset`` to ``(size, exact)``, with three counters."""
 
-    nodes = hits = 0
+    nodes = hits = prunes = 0
 
 
 def _min_hitting_set_size(sets: list[int], budget: int, memo: _Memo) -> int | None:
@@ -230,8 +232,11 @@ def _min_hitting_set_size(sets: list[int], budget: int, memo: _Memo) -> int | No
 
     Branches on the pair with the smallest distinguisher set; a candidate
     tried at a node is banned from its later siblings so subtrees never
-    overlap. Singleton sets are forced without branching, and nodes are cut
-    once the disjoint-packing bound exceeds what is left of the budget.
+    overlap. One sort by size gives a node both that set and its
+    disjoint-packing lower bound. The search stops at its own bounds: sets
+    that share a point are hit by one, singleton sets are forced without
+    branching, a node is cut once its packing bound exceeds what is left of
+    the budget, and a node stops branching once a child meets that bound.
     Every set must be non-empty. A branching node's family, banned
     candidates trimmed, keys ``memo``: its size is exact, or a lower bound
     of ``limit + 1`` when the search was cut at ``limit``.
@@ -241,10 +246,14 @@ def _min_hitting_set_size(sets: list[int], budget: int, memo: _Memo) -> int | No
         """The minimum when it is at most ``limit``, else a lower bound above it."""
         if not active:
             return 0
-        bound = _packing_lower_bound(active)
+        if reduce(and_, active):
+            return 1
+        ordered = sorted(active, key=lambda m: (m.bit_count(), m))
+        bound = _packing_lower_bound(ordered)
         if bound > limit:
+            memo.prunes += 1
             return bound
-        target = min(active, key=lambda m: (m.bit_count(), m))
+        target = ordered[0]
         if target & (target - 1) == 0:
             return 1 + search([m for m in active if not m & target], limit - 1)
         key = frozenset(active)
@@ -260,6 +269,8 @@ def _min_hitting_set_size(sets: list[int], budget: int, memo: _Memo) -> int | No
             reduced = [m & ~banned for m in active if not m & bit]
             if all(reduced):
                 best = min(best, 1 + search(reduced, best - 2))
+            if best == bound:
+                break
             banned |= bit
         memo[key] = (best, best <= limit)
         return best
@@ -274,8 +285,10 @@ def _lex_least_hitting_set(sets: list[int], size: int, memo: _Memo) -> list[int]
     Scans the positions the sets use, in order; a position joins the prefix
     when the sets it misses can still be hit from strictly later positions
     within the rest of the budget. A minimum hitting set uses only positions
-    the sets hold and never needs padding. The feasibility checks share
-    ``memo`` with the size search.
+    the sets hold and never needs padding. A position that leaves no set
+    open fits, and one that leaves sets open with no budget left does not;
+    only the other feasibility checks search, sharing ``memo`` with the
+    size search.
     """
     chosen: list[int] = []
     active = sets
@@ -287,7 +300,11 @@ def _lex_least_hitting_set(sets: list[int], size: int, memo: _Memo) -> list[int]
         # Clearing bit cand and every bit below it keeps the later positions.
         restricted = [m & -(bit << 1) for m in remaining]
         rest_budget = size - len(chosen) - 1
-        if all(restricted) and _min_hitting_set_size(restricted, rest_budget, memo) is not None:
+        if not restricted or (
+            rest_budget > 0
+            and all(restricted)
+            and _min_hitting_set_size(restricted, rest_budget, memo) is not None
+        ):
             chosen.append(cand)
             active = remaining
     if len(chosen) != size or active:
@@ -342,33 +359,46 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
     return (None if size is None else _lex_least_hitting_set(masks, size, memo)), memo
 
 
+def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
+    """Label-sorted points and their minimal distinguisher sets."""
+    labels, sets = _distinguisher_sets(space)
+    _require_distinguishable(labels, sets)
+    return labels, _minimal_masks(sets)
+
+
 def _least_basis(
-    space: FiniteMetricSpace, must_hit: np.ndarray, budget: int, enumerate_all: bool = False
+    space: FiniteMetricSpace,
+    family: tuple[list[str], list[int]],
+    must_hit: np.ndarray,
+    budget: int,
+    enumerate_all: bool = False,
 ) -> ResolveResult | None:
     """The lex-least smallest resolving set that also meets every row of ``must_hit``.
 
-    ``must_hit`` is a boolean table with one column per point, in point
-    order; each row is one more set the basis must hit. Returns None when no
-    such set has at most ``budget`` points. With no rows and a budget of
-    ``space.n`` this is the least metric basis, solved as
-    :func:`metric_dimension` describes. With ``enumerate_all`` every such
-    set of the least size is listed as well, from the same minimal sets.
+    ``family`` is the space's :func:`_minimal_family`. ``must_hit`` is a
+    boolean table with one column per point, in point order; each row is one
+    more set the basis must hit. Returns None when no such set has at most
+    ``budget`` points. With no rows and a budget of ``space.n`` this is the
+    least metric basis, solved as :func:`metric_dimension` describes. With
+    ``enumerate_all`` every such set of the least size is listed as well,
+    from the same minimal sets.
     """
-    labels, sets = _distinguisher_sets(space)
-    _require_distinguishable(labels, sets)
-    sets += _row_masks(must_hit[:, [space.index(p) for p in labels]])
-    if not all(sets):
-        return None
-    minimal = _minimal_masks(sets)
+    labels, minimal = family
+    if len(must_hit):
+        extra = _row_masks(must_hit[:, [space.index(p) for p in labels]])
+        if not all(extra):
+            return None
+        # Every pair's set contains one of the family's, so these reduce alike.
+        minimal = _minimal_masks(minimal + extra)
     components = _components(minimal)
     witness: list[int] = []
-    nodes = hits = 0
+    nodes = hits = prunes = 0
     for masks in components:
         part, memo = _solve_component(masks, budget - len(witness))
         if part is None:
             return None
         witness += part
-        nodes, hits = nodes + memo.nodes, hits + memo.hits
+        nodes, hits, prunes = nodes + memo.nodes, hits + memo.hits, prunes + memo.prunes
     basis = tuple(labels[i] for i in sorted(witness))
     all_bases = None
     if enumerate_all:
@@ -377,8 +407,24 @@ def _least_basis(
             for combo in itertools.combinations(range(space.n), len(basis))
             if all(sum(1 << i for i in combo) & m for m in minimal)
         )
-    stats = SolveStats(len(sets), len(minimal), len(components), nodes, hits)
+    raw_sets = space.n * (space.n - 1) // 2 + len(must_hit)
+    stats = SolveStats(raw_sets, len(minimal), len(components), nodes, hits, prunes)
     return ResolveResult(len(basis), basis, all_bases, stats)
+
+
+class _TableSolves(dict):
+    """A space's :func:`_minimal_family` and metric dimension, computed once per table.
+
+    Constrained solves on the same table start from the stored family.
+    """
+
+    def __call__(self, space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]], int]:
+        key = _table_key(space)
+        if key not in self:
+            family = _minimal_family(space)
+            no_rows = np.zeros((0, space.n), dtype=bool)
+            self[key] = family, _least_basis(space, family, no_rows, space.n).dimension
+        return self[key]
 
 
 def metric_dimension(
@@ -434,4 +480,5 @@ def metric_dimension(
             )
         return ResolveResult(dimension, found, all_bases)
 
-    return _least_basis(space, np.zeros((0, space.n), dtype=bool), space.n, enumerate_all)
+    no_rows = np.zeros((0, space.n), dtype=bool)
+    return _least_basis(space, _minimal_family(space), no_rows, space.n, enumerate_all)

@@ -23,12 +23,11 @@ from .construct import (
     lexicographic,
     squash,
 )
-from .resolving import ResolveResult, metric_dimension
+from .resolving import ResolveResult, _TableSolves, metric_dimension
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
     SpaceStats,
-    _table_key,
     diameter,
     space_stats,
 )
@@ -79,14 +78,15 @@ class _Pair:
     """One verified pair: each object the reports share is computed once.
 
     Holds the base statistics, the product and its solve, the base's twin
-    partition, and one plain solve per distinct table, so equal fibers and a
-    fiber equal to ``second`` are solved once. Nothing outlives the pair.
+    partition, and one distinguisher family and plain solve per distinct
+    table, so equal fibers and a fiber equal to ``second`` are built and
+    solved once, the special-class solves included. Nothing outlives the pair.
     """
 
     base: FiniteMetricSpace
     second: FiniteMetricSpace
     max_product_points: int = DEFAULT_PRODUCT_CAP
-    _solves: dict[tuple, int] = field(default_factory=dict)
+    _solves: _TableSolves = field(default_factory=_TableSolves)
 
     def _guard(self) -> None:
         total = self.base.n * self.second.n
@@ -97,10 +97,7 @@ class _Pair:
             )
 
     def _dimension(self, space: FiniteMetricSpace) -> int:
-        key = _table_key(space)
-        if key not in self._solves:
-            self._solves[key] = metric_dimension(space).dimension
-        return self._solves[key]
+        return self._solves(space)[1]
 
     @cached_property
     def stats(self) -> SpaceStats:
@@ -128,7 +125,7 @@ class _Pair:
 
     @cached_property
     def special(self) -> SpecialClassSet:
-        return _special_classes(self.base, self.second, self.partition, self._dimension)
+        return _special_classes(self.base, self.second, self.partition, self._solves)
 
     @cached_property
     def rhs(self) -> int:

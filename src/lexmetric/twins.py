@@ -10,13 +10,13 @@ set of third points.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construct import gravitational
-from .resolving import _least_basis, metric_dimension
+from .resolving import _least_basis, _TableSolves
+from .resolving import metric_dimension  # noqa: F401 -- re-exported; perfbench traces it here
 from .space import FiniteMetricSpace, _nearness_values, _require_finite, _row_blocks, _table_key
 
 
@@ -125,23 +125,22 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     x) some fiber point sits at capped distance exactly L from all basis
     points. Each member is checked in full rather than one representative.
     """
-    return _special_classes(
-        base, second, twin_classes(base), lambda fib: metric_dimension(fib).dimension
-    )
+    return _special_classes(base, second, twin_classes(base), _TableSolves())
 
 
 def _special_classes(
     base: FiniteMetricSpace,
     second: FiniteMetricSpace,
     partition: TwinPartition,
-    dimension: Callable[[FiniteMetricSpace], int],
+    solves: _TableSolves,
 ) -> SpecialClassSet:
-    """:func:`special_classes` on a partition at hand, given the fiber dimension.
+    """:func:`special_classes` on a partition at hand, with the fiber solves so far.
 
     A basis B has no far witness when, for every fiber point z, B meets the
     points off the gap from z. So one solve per distinct fiber and gap,
     constrained to meet those sets within the fiber dimension, finds the
-    least failing basis or shows there is none.
+    least failing basis or shows there is none. It starts from the minimal
+    distinguisher sets of the fiber's plain solve.
     """
     tol = max(base.tolerance, second.tolerance)
     near = _nearness_values(base)
@@ -154,7 +153,8 @@ def _special_classes(
             fib = gravitational(second, float(near[base.index(x)]))
             key = (_table_key(fib), gap)
             if key not in failing:
-                found = _least_basis(fib, np.abs(fib.dist - gap) > tol, dimension(fib))
+                family, dimension = solves(fib)
+                found = _least_basis(fib, family, np.abs(fib.dist - gap) > tol, dimension)
                 failing[key] = found.basis if found else None
             if failing[key] is not None:
                 counterexamples[cls] = (x, failing[key])

@@ -277,11 +277,12 @@ class TestMetricDimension:
             metric_dimension(NEAR_DUPLICATE)
 
     def test_stats_describe_the_reduction_and_stay_out_of_equality(self):
-        # Only the diagonals {v1, v3} and {v2, v4} are left, and they share no point.
+        # Only the diagonals {v1, v3} and {v2, v4} are left, and they share no
+        # point: each is a component answered with one point, without a search.
         fast = metric_dimension(C4)
         assert fast.stats == SolveStats(raw_sets=6, reduced_sets=2, components=2)
-        assert (fast.stats.nodes, fast.stats.memo_hits) == (2, 0)
-        assert fast.stats == SolveStats(6, 2, 2, nodes=0, memo_hits=99)
+        assert (fast.stats.nodes, fast.stats.memo_hits, fast.stats.prunes) == (0, 0, 0)
+        assert fast.stats == SolveStats(6, 2, 2, nodes=5, memo_hits=99, prunes=7)
         oracle = metric_dimension(C4, method="enumeration")
         assert oracle.stats is None
         assert fast == oracle
@@ -391,7 +392,8 @@ def plain_min_hitting_set_size(sets: list[int], budget: int) -> int | None:
         if not active:
             best = chosen
             return
-        if chosen + _packing_lower_bound(active) > limit:
+        ordered = sorted(active, key=lambda m: (m.bit_count(), m))
+        if chosen + _packing_lower_bound(ordered) > limit:
             return
         target = min(active, key=lambda m: (m.bit_count(), m))
         if not target:
@@ -468,11 +470,22 @@ def test_component_witnesses_form_the_lex_least_minimum_hitting_set(sets):
 # Every 3-subset of 5 candidates: the sets pairwise meet, so the packing
 # bound is 1 and cuts nothing, while the minimum is 3.
 TRIPLES_OF_FIVE = [sum(1 << i for i in c) for c in itertools.combinations(range(5), 3)]
+# {0, 1, 2}, {0, 2} and {0, 2, 3} share 0 and 2: answered with one point.
+COMMON_POINT = [0b0111, 0b0101, 0b1101]
+# Packing bound 2 from {0, 1} and {2, 3}; the first branch, on 0, leaves {2, 3}
+# alone and meets the bound, so 1 is never tried.
+FIRST_BRANCH_AT_BOUND = [0b0011, 0b0101, 0b1100]
+# Minimum 1, at 1: the reconstruction tries 0 first, which leaves {1, 2} open
+# with no budget left.
+OPEN_AT_ZERO_BUDGET = [0b011, 0b110]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(set_families)
 @example(TRIPLES_OF_FIVE)
+@example(COMMON_POINT)
+@example(FIRST_BRANCH_AT_BOUND)
+@example(OPEN_AT_ZERO_BUDGET)
 def test_memoized_search_agrees_with_plain_branch_and_bound(sets):
     """Size and witness at every budget, each from a fresh table or one shared table.
 
@@ -546,8 +559,8 @@ def weighted_7x7(seed: int, index: int):
 @pytest.mark.parametrize(
     "seed, index, stats",
     [
-        (0, 1, SolveStats(raw_sets=1176, reduced_sets=23, components=7, nodes=13, memo_hits=2)),
-        (1, 4, SolveStats(raw_sets=1176, reduced_sets=46, components=7, nodes=16, memo_hits=4)),
+        (0, 1, SolveStats(1176, reduced_sets=23, components=7, nodes=2, memo_hits=0, prunes=0)),
+        (1, 4, SolveStats(1176, reduced_sets=46, components=7, nodes=4, memo_hits=0, prunes=0)),
     ],
 )
 def test_heavy_tail_products_solve(seed, index, stats):
@@ -558,7 +571,7 @@ def test_heavy_tail_products_solve(seed, index, stats):
     assert resolves(product, result.basis)
     assert result.dimension == len(result.basis) == formula_rhs(base, second)
     assert result.stats == stats
-    assert (result.stats.nodes, result.stats.memo_hits) == (stats.nodes, stats.memo_hits)
+    assert dataclasses.astuple(result.stats) == dataclasses.astuple(stats)
 
 
 def test_twin_rich_complete_base_product_solves():
@@ -573,7 +586,7 @@ def test_twin_rich_complete_base_product_solves():
     assert result.dimension == 17 == formula_rhs(base, second)
     assert result.basis == tuple(expected)
     assert result.stats == SolveStats(raw_sets=630, reduced_sets=288, components=1)
-    assert (result.stats.nodes, result.stats.memo_hits) == (691, 750)
+    assert (result.stats.nodes, result.stats.memo_hits, result.stats.prunes) == (689, 749, 236)
 
 
 def distinguisher_sets_oracle(space: FiniteMetricSpace) -> list[int]:

@@ -261,9 +261,9 @@ def test_verify_all_matches_the_single_report_functions(pairs):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every product built and every solve made by theory and twins."""
+    """Record every product built and every table whose distinguisher sets are built."""
+    import lexmetric.resolving as resolving
     import lexmetric.theory as theory
-    import lexmetric.twins as twins
 
     calls = {"products": 0, "solves": []}
 
@@ -271,14 +271,16 @@ def counted(monkeypatch):
         calls["products"] += 1
         return real_lexicographic(first, second)
 
-    def metric_dimension(space, enumerate_all=False, **kwargs):
-        calls["solves"].append((space.points, space.dist.tobytes(), enumerate_all))
-        return real_metric_dimension(space, enumerate_all=enumerate_all, **kwargs)
+    # Each table solved, product, fiber or factor, has its sets built here once;
+    # a constrained solve that rebuilt a fiber's sets would show as a repeat.
+    def distinguisher_sets(space):
+        calls["solves"].append((space.points, space.dist.tobytes()))
+        return real_distinguisher_sets(space)
 
-    real_lexicographic, real_metric_dimension = theory.lexicographic, theory.metric_dimension
+    real_lexicographic = theory.lexicographic
+    real_distinguisher_sets = resolving._distinguisher_sets
     monkeypatch.setattr(theory, "lexicographic", lexicographic)
-    for module in (theory, twins):
-        monkeypatch.setattr(module, "metric_dimension", metric_dimension)
+    monkeypatch.setattr(resolving, "_distinguisher_sets", distinguisher_sets)
     return calls
 
 

@@ -183,26 +183,29 @@ class TestSpecialClasses:
         ids=["K3", "star3", "C4", "two-nearness"],
     )
     def test_one_basis_enumeration_per_distinct_fiber(self, monkeypatch, base, second, fibers):
-        """Each distinct fiber costs one plain and one constrained solve, and
-        no complete basis enumeration."""
+        """Each distinct fiber's distinguisher sets are built once, for one plain
+        and one constrained solve, and no complete basis enumeration runs."""
+        import lexmetric.resolving as resolving
         import lexmetric.twins as twins
 
-        plain, constrained = [], []
+        built, solves = [], []
 
-        def metric_dimension(space, **kwargs):
-            plain.append(kwargs)
-            return real_plain(space, **kwargs)
+        def distinguisher_sets(space):
+            built.append(space.dist.tobytes())
+            return real_distinguisher_sets(space)
 
-        def least_basis(space, must_hit, budget):
-            constrained.append(budget)
-            return real_constrained(space, must_hit, budget)
+        def least_basis(space, family, must_hit, budget, enumerate_all=False):
+            solves.append((len(must_hit) > 0, enumerate_all))
+            return real_least_basis(space, family, must_hit, budget, enumerate_all)
 
-        real_plain, real_constrained = twins.metric_dimension, twins._least_basis
-        monkeypatch.setattr(twins, "metric_dimension", metric_dimension)
-        monkeypatch.setattr(twins, "_least_basis", least_basis)
+        real_distinguisher_sets = resolving._distinguisher_sets
+        real_least_basis = resolving._least_basis
+        monkeypatch.setattr(resolving, "_distinguisher_sets", distinguisher_sets)
+        for module in (resolving, twins):
+            monkeypatch.setattr(module, "_least_basis", least_basis)
         special = special_classes(base, second)
-        assert plain == [{}] * fibers
-        assert len(constrained) == fibers
+        assert len(built) == len(set(built)) == fibers
+        assert sorted(solves) == [(False, False)] * fibers + [(True, False)] * fibers
         assert special.member_classes
 
     def test_fiber_past_the_enumeration_cap_is_decided(self):
