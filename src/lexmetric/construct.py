@@ -198,8 +198,8 @@ def gravitational(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     The result is always a metric again, it is idempotent for a fixed t, and
     it is the identity whenever the diameter is at most 2t.
     """
-    if not t > 0:
-        raise ValueError("the gravitation constant t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("the gravitation constant t must be positive and finite")
     capped = np.minimum(space.dist, 2.0 * t)
     return FiniteMetricSpace(space.points, capped, space.tolerance, name=space.name)
 

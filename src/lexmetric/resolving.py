@@ -3,12 +3,12 @@
 A subset resolves a space when the vector of distances to the subset is
 different for every point. Finding a minimum resolving set is a minimum
 hitting set problem: for each point pair, collect the points that tell the
-pair apart, then hit every one of those sets. Each set is an ``int``
-bitmask over the label-sorted points, from the packed distance comparison to
-the witness. The branch-and-bound solver here is exact. It first drops
-duplicate sets and supersets, then solves each group of sets that share no
-point with the others on its own. An independent subset-enumeration solver
-is kept behind a flag as its oracle.
+pair apart, then hit every one of those sets. Each set is packed into 64-bit
+words over the label-sorted points, where duplicates are dropped, and each
+distinct set is an ``int`` bitmask from there to the witness. The exact
+branch-and-bound solver then drops supersets and solves each group of sets
+that share no point with the others on its own. An independent
+subset-enumeration solver is kept behind a flag as its oracle.
 """
 
 from __future__ import annotations
@@ -110,43 +110,50 @@ def resolves(space: FiniteMetricSpace, subset) -> bool:
     return True
 
 
-def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
+def _separator_words(space: FiniteMetricSpace) -> tuple[list[str], np.ndarray]:
     """Label-sorted points and, per pair in label-sorted order, its separators.
 
-    Each set is a bitmask whose bit ``k`` is set when the ``k``-th point in
-    label order tells the pair apart; an indistinguishable pair gets 0.
-    Comparing blocks of pairs keeps memory linear in the number of pairs.
-    Each block's differences are taken in place, because a fresh array per
-    step costs about as much as the arithmetic on it.
+    Row ``p`` is pair ``p``'s set as :func:`_packed_words`, bit ``k`` set when the
+    ``k``-th point in label order tells the pair apart; an indistinguishable pair's row
+    is zero. Blocks of pairs keep memory linear in the pairs; each block's differences
+    are taken in place, as a fresh array per step costs about as much as the arithmetic.
     """
-    _require_finite(space)
     order = sorted(range(space.n), key=space.points.__getitem__)
-    labels = [space.points[i] for i in order]
-    d = space.dist[np.ix_(order, order)]
+    d = space.dist.take(order, 0).take(order, 1)
     r = np.arange(space.n)
     first, second = np.nonzero(r[:, None] < r)
-    masks: list[int] = []
+    words = np.empty((len(first), -(-space.n // 64)), dtype="<u8")
     for rows in _row_blocks(len(first), space.n):
         diff = d[first[rows]]
         diff -= d[second[rows]]
-        masks += _row_masks(np.abs(diff, out=diff) > space.tolerance)
-    return labels, masks
+        words[rows] = _packed_words(np.abs(diff, out=diff) > space.tolerance)
+    return [space.points[i] for i in order], words
 
 
-def _row_masks(table: np.ndarray) -> list[int]:
-    """Each row of a boolean table as a bitmask whose bit ``k`` is column ``k``.
+def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
+    """:func:`_separator_words` of a finite table, each set an ``int`` bitmask."""
+    _require_finite(space)
+    labels, words = _separator_words(space)
+    return labels, _word_masks(words)
 
-    Rows of up to 64 columns are padded to one little-endian 64-bit word
-    each and become Python ints in one ``tolist``. Wider rows are read one
-    ``int.from_bytes`` each, which measured faster than combining their
-    words in Python.
-    """
+
+def _packed_words(table: np.ndarray) -> np.ndarray:
+    """Each row of a boolean table as little-endian 64-bit words, column ``k`` at bit ``k``."""
     packed = np.packbits(table, axis=1, bitorder="little")
-    if packed.shape[1] > 8:
-        return [int.from_bytes(row, "little") for row in packed]
-    words = np.zeros((len(packed), 8), dtype=np.uint8)
+    words = np.zeros((len(packed), -(-table.shape[1] // 64) * 8), dtype=np.uint8)
     words[:, : packed.shape[1]] = packed
-    return words.view("<u8")[:, 0].tolist()
+    return words.view("<u8")
+
+
+def _word_masks(words: np.ndarray) -> list[int]:
+    """Each row of :func:`_packed_words` as an ``int`` bitmask.
+
+    One-word rows convert in one ``tolist``; wider rows take one ``int.from_bytes``
+    each, which measured faster than combining their words in Python.
+    """
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    return [int.from_bytes(row, "little") for row in words]
 
 
 def _positions(mask: int) -> list[int]:
@@ -154,15 +161,12 @@ def _positions(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-def _require_distinguishable(labels: list[str], sets: list[int]) -> None:
-    """Raise on the first empty distinguisher set, naming its pair."""
-    if all(sets):
-        return
-    for pair, s in zip(itertools.combinations(labels, 2), sets):
-        if not s:
-            raise ValueError(
-                f"points {pair[0]!r} and {pair[1]!r} are indistinguishable at tolerance"
-            )
+def _require_distinguishable(labels: list[str], empty: np.ndarray | list[bool]) -> None:
+    """Raise on the first pair, in label order, flagged ``empty``: nothing tells it apart."""
+    index = np.flatnonzero(empty)
+    if len(index):
+        u, v = next(itertools.islice(itertools.combinations(labels, 2), index[0], None))
+        raise ValueError(f"points {u!r} and {v!r} are indistinguishable at tolerance")
 
 
 def _greedy_hitting_set(sets: list[int]) -> list[int]:
@@ -202,7 +206,7 @@ def greedy_generator(space: FiniteMetricSpace) -> tuple[str, ...]:
     resolves the space and its size is an upper bound on the dimension.
     """
     labels, sets = _distinguisher_sets(space)
-    _require_distinguishable(labels, sets)
+    _require_distinguishable(labels, [not s for s in sets])
     return tuple(labels[i] for i in _greedy_hitting_set(sets))
 
 
@@ -318,9 +322,9 @@ def _minimal_masks(sets: list[int]) -> list[int]:
     A candidate set hits a superset whenever it hits the subset, so dropping
     duplicates and supersets leaves the hitting sets exactly the same
     (Weihe 1998). Sorting by size puts every subset before its supersets,
-    so the smallest set left is always minimal.
+    so the smallest set left is always minimal; its copies go with them.
     """
-    masks = sorted(set(sets), key=lambda m: (m.bit_count(), m))
+    masks = sorted(sets, key=lambda m: (m.bit_count(), m))
     minimal: list[int] = []
     while masks:
         least = masks[0]
@@ -351,19 +355,28 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
     """Lex-least minimum hitting set of one component, in global positions.
 
     None when every hitting set of the component has more than ``budget``
-    points. The size search and the witness reconstruction share one table,
+    points. Sets sharing a point are closed by their least common point;
+    otherwise the size search and the witness reconstruction share one table,
     returned alongside for its counters; nothing is kept past the call.
     """
     memo = _Memo()
+    common = reduce(and_, masks)
+    if common and budget >= 1:
+        return [(common & -common).bit_length() - 1], memo
     size = _min_hitting_set_size(masks, budget, memo)
     return (None if size is None else _lex_least_hitting_set(masks, size, memo)), memo
 
 
 def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
-    """Label-sorted points and their minimal distinguisher sets."""
-    labels, sets = _distinguisher_sets(space)
-    _require_distinguishable(labels, sets)
-    return labels, _minimal_masks(sets)
+    """Label-sorted points and the minimal distinguisher sets of a finite table.
+
+    Duplicates are dropped on the words by one sort, so only distinct sets become ints.
+    """
+    labels, words = _separator_words(space)
+    _require_distinguishable(labels, ~words.any(axis=1))
+    rows = np.sort(words, axis=0) if words.shape[1] == 1 else words[np.lexsort(words.T)]
+    fresh = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    return labels, _minimal_masks(_word_masks(rows[fresh]))
 
 
 def _least_basis(
@@ -385,7 +398,7 @@ def _least_basis(
     """
     labels, minimal = family
     if len(must_hit):
-        extra = _row_masks(must_hit[:, [space.index(p) for p in labels]])
+        extra = _word_masks(_packed_words(must_hit[:, [space.index(p) for p in labels]]))
         if not all(extra):
             return None
         # Every pair's set contains one of the family's, so these reduce alike.
@@ -421,6 +434,7 @@ class _TableSolves(dict):
     def __call__(self, space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]], int]:
         key = _table_key(space)
         if key not in self:
+            _require_finite(space)
             family = _minimal_family(space)
             no_rows = np.zeros((0, space.n), dtype=bool)
             self[key] = family, _least_basis(space, family, no_rows, space.n).dimension
@@ -452,7 +466,6 @@ def metric_dimension(
     if method not in ("bnb", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
     _require_finite(space)
-    candidates = sorted(space.points)
     if enumerate_all and space.n > max_enumeration_points:
         raise EnumerationCapExceeded(
             f"complete basis enumeration is capped at {max_enumeration_points} points, "
@@ -460,6 +473,7 @@ def metric_dimension(
         )
 
     if method == "enumeration":
+        candidates = sorted(space.points)
         found: tuple[str, ...] | None = None
         for k in range(1, space.n):
             for combo in itertools.combinations(candidates, k):

@@ -381,6 +381,7 @@ GOLDEN = [
     ("error-size-guard", "verify k4.edges c5.edges --max-product-points 10", 2),
     ("error-enumeration-cap", "dim c5.edges --all-bases --max-enumeration-points 4", 2),
     ("error-eta-inf", "squash p4.edges --eta inf", 2),
+    ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),
     ("error-tolerance-inf", "stats p4.edges --tolerance inf", 2),
     ("error-unknown-command", "frobnicate", 2),
     ("error-no-arguments", "", 2),

@@ -129,6 +129,12 @@ class TestGravitational:
         with pytest.raises(ValueError):
             gravitational(graph_metric(path_graph(3)), 0.0)
 
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_requires_finite_constant(self, t):
+        # An infinite t would cap nothing and pass the table through unchanged.
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            gravitational(graph_metric(path_graph(3)), t)
+
 
 class TestSquash:
     def test_values(self):

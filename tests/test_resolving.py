@@ -7,9 +7,10 @@ both must report as the lexicographically least one.
 
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from unittest import mock
 
 import numpy as np
@@ -35,11 +36,13 @@ from lexmetric.resolving import (
     _distinguisher_sets,
     _lex_least_hitting_set,
     _min_hitting_set_size,
+    _minimal_family,
     _minimal_masks,
+    _packed_words,
     _packing_lower_bound,
     _positions,
-    _row_masks,
     _solve_component,
+    _word_masks,
     coordinates,
     greedy_generator,
     metric_dimension,
@@ -250,7 +253,7 @@ class TestMetricDimension:
     def test_enumeration_builds_the_sets_once(self):
         """The complete list of bases walks the minimal sets the solve built."""
         sets = mock.patch.object(
-            resolving_module, "_distinguisher_sets", wraps=_distinguisher_sets
+            resolving_module, "_separator_words", wraps=resolving_module._separator_words
         )
         masks = mock.patch.object(resolving_module, "_minimal_masks", wraps=_minimal_masks)
         with sets as built, masks as reduced:
@@ -505,6 +508,21 @@ def test_memoized_search_agrees_with_plain_branch_and_bound(sets):
                 )
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 255), min_size=1, max_size=12), st.integers(0, 3))
+@example(COMMON_POINT, 0)
+@example(COMMON_POINT, 1)
+@example(COMMON_POINT, 2)
+@example([0b0110], 1)
+def test_solve_component_agrees_with_plain_branch_and_bound(sets, budget):
+    """A family whose sets share a point is closed by its least one, with no search."""
+    part, memo = _solve_component(sets, budget)
+    size = plain_min_hitting_set_size(sets, budget)
+    assert part == (None if size is None else plain_lex_least_hitting_set(sets, size))
+    if reduce(and_, sets):
+        assert (memo.nodes, memo.hits, memo.prunes) == (0, 0, 0)
+
+
 def test_interleaved_components():
     """Components {0, 2, 4} and {1, 3} interleave in label order."""
     sets = [0b101, 0b10100, 0b1010]
@@ -626,23 +644,85 @@ def row_masks_oracle(table: np.ndarray) -> list[int]:
 )
 def test_row_masks_match_the_per_row_oracle(rows, width, density, seed):
     table = np.random.default_rng(seed).random((rows, width)) < density
-    masks = _row_masks(table)
+    masks = _word_masks(_packed_words(table))
     assert masks == row_masks_oracle(table)
     assert all(type(m) is int for m in masks)
 
 
+def word_masks_oracle(words: np.ndarray) -> list[int]:
+    """Each row's words joined into one int, word ``j`` shifted by ``64 * j``."""
+    return [sum(int(w) << 64 * j for j, w in enumerate(row)) for row in words]
+
+
+def per_pair_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
+    """Every pair's set as an int, then duplicates and supersets dropped among the ints."""
+    labels, sets = _distinguisher_sets(space)
+    return labels, _minimal_masks(sets)
+
+
 @pytest.mark.parametrize("n", [10, 12, 20])
 def test_solve_past_one_word_matches_the_per_row_conversion(n):
-    """Weighted products of 100, 144 and 400 points: two to seven words a row."""
+    """Weighted products of 100, 144 and 400 points: two to seven words a row.
+
+    The oracle joins every pair's words into an int one word at a time and
+    drops duplicates among the ints, not among the words.
+    """
     rng = np.random.default_rng(n)
     product = lexicographic(
         random_metric_space(rng, n, prefix="x"), random_metric_space(rng, n, prefix="y")
     ).space
     fast = metric_dimension(product)
-    with mock.patch.object(resolving_module, "_row_masks", row_masks_oracle):
-        oracle = metric_dimension(product)
+    with mock.patch.object(resolving_module, "_minimal_family", per_pair_family):
+        with mock.patch.object(resolving_module, "_word_masks", word_masks_oracle):
+            oracle = metric_dimension(product)
     assert (fast.dimension, fast.basis) == (oracle.dimension, oracle.basis)
     assert dataclasses.astuple(fast.stats) == dataclasses.astuple(oracle.stats)
+
+
+@st.composite
+def near_tie_spaces(draw):
+    """Tables of 2-9, 63-65, 128 and 129 points, in shuffled label order, with ties.
+
+    Each entry is a generic distance or, with some probability, one of three
+    levels moved by a small multiple of half the tolerance, which decides
+    some ties either way. Wide tables tie less, so that their distinct sets
+    stay few for the quadratic superset filter. Half the tables get one
+    indistinguishable pair: equal rows, a distance inside the tolerance.
+    """
+    n = draw(st.sampled_from([*range(2, 10), 63, 64, 65, 128, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tolerance = draw(st.sampled_from([1e-9, 0.1]))
+    tied = rng.random((n, n)) < draw(st.sampled_from([0.05, 0.3] if n < 10 else [0.002, 0.01]))
+    levels = rng.integers(1, 4, (n, n)) + rng.integers(-3, 4, (n, n)) * tolerance / 2
+    upper = np.where(tied, levels, 5 + rng.random((n, n)) * 1e4 * tolerance)
+    table = np.triu(upper, 1) + np.triu(upper, 1).T
+    if draw(st.booleans()):
+        i, j = rng.choice(n, 2, replace=False)
+        table[j], table[:, j] = table[i], table[:, i]
+        table[i, j] = table[j, i] = tolerance / 2
+        table[j, j] = 0.0
+    order = rng.permutation(n)
+    return FiniteMetricSpace(
+        tuple(f"p{k}" for k in order), table[np.ix_(order, order)], tolerance=tolerance
+    )
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(near_tie_spaces(), BLOCK_BUDGETS)
+def test_minimal_family_matches_the_per_pair_route(space, budget):
+    """Duplicates dropped among the packed words give the per-pair route's family.
+
+    Where a pair is indistinguishable both name the first such pair in label order.
+    """
+    labels, sets = _distinguisher_sets(space)
+    with row_blocks_of(budget):
+        if 0 in sets:
+            u, v = list(itertools.combinations(labels, 2))[sets.index(0)]
+            message = f"points {u!r} and {v!r} are indistinguishable at tolerance"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _minimal_family(space)
+        else:
+            assert _minimal_family(space) == per_pair_family(space)
 
 
 def test_distinguisher_sets_memory_stays_linear_in_the_pairs():

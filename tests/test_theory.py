@@ -261,7 +261,7 @@ def test_verify_all_matches_the_single_report_functions(pairs):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every product built and every table whose distinguisher sets are built."""
+    """Record every product built and every table whose separator words are built."""
     import lexmetric.resolving as resolving
     import lexmetric.theory as theory
 
@@ -271,25 +271,29 @@ def counted(monkeypatch):
         calls["products"] += 1
         return real_lexicographic(first, second)
 
-    # Each table solved, product, fiber or factor, has its sets built here once;
-    # a constrained solve that rebuilt a fiber's sets would show as a repeat.
-    def distinguisher_sets(space):
+    # Every solve's family, product, fiber or factor, starts from these words;
+    # a constrained solve that rebuilt a fiber's family would show as a repeat.
+    def separator_words(space):
         calls["solves"].append((space.points, space.dist.tobytes()))
-        return real_distinguisher_sets(space)
+        return real_separator_words(space)
 
     real_lexicographic = theory.lexicographic
-    real_distinguisher_sets = resolving._distinguisher_sets
+    real_separator_words = resolving._separator_words
     monkeypatch.setattr(theory, "lexicographic", lexicographic)
-    monkeypatch.setattr(resolving, "_distinguisher_sets", distinguisher_sets)
+    monkeypatch.setattr(resolving, "_separator_words", separator_words)
     return calls
 
 
 @pytest.mark.parametrize("base, second", [(K3, P3), (C4, P4), (C4, HALF_PAIR)])
 def test_verify_all_builds_two_products_and_solves_each_table_once(counted, base, second):
-    # Unit-weight bases: every point has nearness 1, so every fiber is one table.
+    # Unit-weight bases: every point has nearness 1, so every fiber is one
+    # table. The tables are the product and its squash, the second factor and
+    # its squash, and the fiber, which is the second factor unless capped: P4
+    # alone is capped, at 2.
     verify_all(base, second)
     assert counted["products"] == 2
-    assert len(counted["solves"]) == len(set(counted["solves"]))
+    tables = 5 if second is P4 else 4
+    assert len(counted["solves"]) == len(set(counted["solves"])) == tables
 
 
 def test_verify_all_past_the_guard_raises_before_any_solve(counted):
