@@ -245,15 +245,20 @@ def _require_symmetric(space: FiniteMetricSpace, role: str) -> None:
         )
 
 
+def _factor_label(label: str) -> str:
+    """A factor's point label inside a product label: parenthesized if it holds the separator."""
+    return f"({label})" if PRODUCT_SEP in label else label
+
+
 def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> ProductSpace:
     """Lexicographic product of two spaces.
 
-    Points are all pairs "x|y". Distinct base points keep their base
-    distance; inside a fiber the second space's distance is capped at twice
-    the nearness of that fiber's base point. The per-point cap matters: a
-    weighted base space with uneven nearness caps each fiber differently.
-    Both factors must be symmetric at their tolerance, since each base
-    distance fills the two blocks between its fibers.
+    Points are all pairs "x|y", a factor label that holds "|" in parentheses, so
+    products nest: "(a|b)|c". Distinct base points keep their base distance; inside
+    a fiber the second space's distance is capped at twice the nearness of that
+    fiber's base point. The per-point cap matters: a weighted base space with uneven
+    nearness caps each fiber differently. Both factors must be symmetric at their
+    tolerance, since each base distance fills the two blocks between its fibers.
     """
     _require_finite(first)
     _require_finite(second)
@@ -262,13 +267,9 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     near = _nearness_values(first)
     if not near.min() > 0:
         raise ValueError("the base space must have positive nearness")
-    for label in first.points + second.points:
-        if PRODUCT_SEP in label:
-            raise ValueError(
-                f"point label {label!r} contains the reserved separator {PRODUCT_SEP!r}"
-            )
     n_base, n_fib = first.n, second.n
-    labels = tuple(f"{x}{PRODUCT_SEP}{y}" for x in first.points for y in second.points)
+    pairs = [(x, y) for x in first.points for y in second.points]
+    labels = tuple(f"{_factor_label(x)}{PRODUCT_SEP}{_factor_label(y)}" for x, y in pairs)
     table = np.zeros((n_base * n_fib, n_base * n_fib))
     for i in range(n_base):
         cap = 2.0 * float(near[i])
@@ -284,8 +285,8 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
         tolerance=max(first.tolerance, second.tolerance),
         name="lexicographic product",
     )
-    base_of = {lbl: lbl.split(PRODUCT_SEP, 1)[0] for lbl in labels}
-    fiber_of = {lbl: lbl.split(PRODUCT_SEP, 1)[1] for lbl in labels}
+    base_of = {lbl: x for lbl, (x, _) in zip(labels, pairs)}
+    fiber_of = {lbl: y for lbl, (_, y) in zip(labels, pairs)}
     return ProductSpace(product, first.points, second.points, base_of, fiber_of)
 
 

@@ -14,8 +14,9 @@ subset-enumeration solver is kept behind a flag as its oracle.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .space import FiniteMetricSpace, _require_finite, _row_blocks, _table_key
 
 DEFAULT_ENUMERATION_CAP = 16
+_MEMO_BYTES = 64 << 20
 
 
 class EnumerationCapExceeded(ValueError):
@@ -120,14 +122,21 @@ def _separator_words(space: FiniteMetricSpace) -> tuple[list[str], np.ndarray]:
     """
     order = sorted(range(space.n), key=space.points.__getitem__)
     d = space.dist.take(order, 0).take(order, 1)
-    r = np.arange(space.n)
-    first, second = np.nonzero(r[:, None] < r)
+    first, second = _pair_index(space.n)
     words = np.empty((len(first), -(-space.n // 64)), dtype="<u8")
     for rows in _row_blocks(len(first), space.n):
         diff = d[first[rows]]
         diff -= d[second[rows]]
         words[rows] = _packed_words(np.abs(diff, out=diff) > space.tolerance)
     return [space.points[i] for i in order], words
+
+
+@lru_cache(maxsize=32)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both members of every pair ``i < j`` of ``n`` points, in lexicographic order; read-only."""
+    first, second = np.triu_indices(n, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
 
 
 def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
@@ -381,14 +390,14 @@ def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
 
 def _least_basis(
     space: FiniteMetricSpace,
-    family: tuple[list[str], list[int]],
+    family: tuple,
     must_hit: np.ndarray,
     budget: int,
     enumerate_all: bool = False,
 ) -> ResolveResult | None:
     """The lex-least smallest resolving set that also meets every row of ``must_hit``.
 
-    ``family`` is the space's :func:`_minimal_family`. ``must_hit`` is a
+    ``family`` is the space's :func:`_minimal_family`, as lists or tuples. ``must_hit`` is a
     boolean table with one column per point, in point order; each row is one
     more set the basis must hit. Returns None when no such set has at most
     ``budget`` points. With no rows and a budget of ``space.n`` this is the
@@ -402,7 +411,7 @@ def _least_basis(
         if not all(extra):
             return None
         # Every pair's set contains one of the family's, so these reduce alike.
-        minimal = _minimal_masks(minimal + extra)
+        minimal = _minimal_masks([*minimal, *extra])
     components = _components(minimal)
     witness: list[int] = []
     nodes = hits = prunes = 0
@@ -425,20 +434,47 @@ def _least_basis(
     return ResolveResult(len(basis), basis, all_bases, stats)
 
 
-class _TableSolves(dict):
-    """A space's :func:`_minimal_family` and metric dimension, computed once per table.
+class _TableMemo(dict):
+    """Results on one table, keyed by its exact bytes, dropped oldest first past ``_MEMO_BYTES``.
 
-    Constrained solves on the same table start from the stored family.
+    Entries are stored whole under the lock, though two threads may compute one. ``nbytes``
+    rises before a store and falls after a drop, so it never reads below the bytes held.
     """
 
-    def __call__(self, space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]], int]:
-        key = _table_key(space)
-        if key not in self:
-            _require_finite(space)
-            family = _minimal_family(space)
-            no_rows = np.zeros((0, space.n), dtype=bool)
-            self[key] = family, _least_basis(space, family, no_rows, space.n).dimension
-        return self[key]
+    nbytes = 0
+    lock = threading.Lock()
+
+    def recall(self, table: tuple, compute, *extra):
+        """What ``compute()`` gives on the table keyed ``table``, ``extra`` joining the key."""
+        key = (table, *extra)
+        entry = self.get(key)
+        if entry is None:
+            entry = compute(), len(table[2])
+            with self.lock:
+                if key not in self:
+                    self.nbytes += entry[1]
+                    self[key] = entry
+                while self and self.nbytes > _MEMO_BYTES:
+                    self.nbytes -= self.pop(next(iter(self)))[1]
+        return entry[0]
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.nbytes = 0
+
+
+_TABLES = _TableMemo()
+
+
+def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[tuple, tuple], int]:
+    """A space's :func:`_minimal_family`, as tuples, and metric dimension, once per table."""
+    def solve() -> tuple[tuple[tuple, tuple], int]:
+        _require_finite(space)
+        family = tuple(map(tuple, _minimal_family(space)))
+        return family, _least_basis(space, family, np.zeros((0, space.n), bool), space.n).dimension
+
+    return _TABLES.recall(_table_key(space), solve)
 
 
 def metric_dimension(
@@ -474,14 +510,8 @@ def metric_dimension(
 
     if method == "enumeration":
         candidates = sorted(space.points)
-        found: tuple[str, ...] | None = None
-        for k in range(1, space.n):
-            for combo in itertools.combinations(candidates, k):
-                if resolves(space, combo):
-                    found = combo
-                    break
-            if found is not None:
-                break
+        subsets = (c for k in range(1, space.n) for c in itertools.combinations(candidates, k))
+        found = next((combo for combo in subsets if resolves(space, combo)), None)
         if found is None:
             raise ValueError("no resolving set found; the table is not a metric")
         dimension = len(found)

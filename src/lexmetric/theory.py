@@ -9,7 +9,7 @@ value; requests past the size guards raise instead of degrading.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +23,7 @@ from .construct import (
     lexicographic,
     squash,
 )
-from .resolving import ResolveResult, _TableSolves, metric_dimension
+from .resolving import ResolveResult, _table_solve, metric_dimension
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
@@ -77,16 +77,15 @@ def _table(space: FiniteMetricSpace) -> list[list[float]]:
 class _Pair:
     """One verified pair: each object the reports share is computed once.
 
-    Holds the base statistics, the product and its solve, the base's twin
-    partition, and one distinguisher family and plain solve per distinct
-    table, so equal fibers and a fiber equal to ``second`` are built and
-    solved once, the special-class solves included. Nothing outlives the pair.
+    Holds the base statistics, the product and its solve, and the base's
+    twin partition. Fiber, factor and special-class solves come from the
+    process-wide memo of results on one table, so a table met again, in this
+    pair or an earlier one, is not built or solved again.
     """
 
     base: FiniteMetricSpace
     second: FiniteMetricSpace
     max_product_points: int = DEFAULT_PRODUCT_CAP
-    _solves: _TableSolves = field(default_factory=_TableSolves)
 
     def _guard(self) -> None:
         total = self.base.n * self.second.n
@@ -95,9 +94,6 @@ class _Pair:
                 f"product has {total} points, past the max-product-points guard "
                 f"of {self.max_product_points}"
             )
-
-    def _dimension(self, space: FiniteMetricSpace) -> int:
-        return self._solves(space)[1]
 
     @cached_property
     def stats(self) -> SpaceStats:
@@ -119,13 +115,13 @@ class _Pair:
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:
         return {
-            x: self._dimension(gravitational(self.second, near))
+            x: _table_solve(gravitational(self.second, near))[1]
             for x, near in self.stats.nearness_per_point.items()
         }
 
     @cached_property
     def special(self) -> SpecialClassSet:
-        return _special_classes(self.base, self.second, self.partition, self._solves)
+        return _special_classes(self.base, self.second, self.partition)
 
     @cached_property
     def rhs(self) -> int:
@@ -179,7 +175,7 @@ class _Pair:
         second_diameter, near = diameter(self.second), self.stats.nearness
         if second_diameter < near:
             lhs = self.product_solve.dimension
-            dim_second = self._dimension(self.second)
+            dim_second = _table_solve(self.second)[1]
             rhs = self.base.n * dim_second
             witnesses = {
                 "second_dimension": dim_second,
@@ -205,8 +201,8 @@ class _Pair:
         squashed = squash(near, self.second)
         product = lexicographic(self.base, squashed)
         lhs = metric_dimension(product.space).dimension
-        dim_second = self._dimension(self.second)
-        dim_squashed = self._dimension(squashed)
+        dim_second = _table_solve(self.second)[1]
+        dim_squashed = _table_solve(squashed)[1]
         rhs = self.base.n * dim_second
         passed = lhs == rhs and lhs == self.base.n * dim_squashed
         witnesses = {

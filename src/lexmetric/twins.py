@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import gravitational
-from .resolving import _least_basis, _TableSolves
+from .resolving import _TABLES, _least_basis, _table_solve
 from .resolving import metric_dimension  # noqa: F401 -- re-exported; perfbench traces it here
 from .space import FiniteMetricSpace, _nearness_values, _require_finite, _row_blocks, _table_key
 
@@ -125,39 +125,37 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     x) some fiber point sits at capped distance exactly L from all basis
     points. Each member is checked in full rather than one representative.
     """
-    return _special_classes(base, second, twin_classes(base), _TableSolves())
+    return _special_classes(base, second, twin_classes(base))
+
+
+def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str, ...] | None:
+    family, dimension = _table_solve(fib)
+    found = _least_basis(fib, family, np.abs(fib.dist - gap) > tol, dimension)
+    return found.basis if found else None
 
 
 def _special_classes(
-    base: FiniteMetricSpace,
-    second: FiniteMetricSpace,
-    partition: TwinPartition,
-    solves: _TableSolves,
+    base: FiniteMetricSpace, second: FiniteMetricSpace, partition: TwinPartition
 ) -> SpecialClassSet:
-    """:func:`special_classes` on a partition at hand, with the fiber solves so far.
+    """:func:`special_classes` on a partition at hand.
 
     A basis B has no far witness when, for every fiber point z, B meets the
     points off the gap from z. So one solve per distinct fiber and gap,
     constrained to meet those sets within the fiber dimension, finds the
     least failing basis or shows there is none. It starts from the minimal
-    distinguisher sets of the fiber's plain solve.
+    distinguisher sets of the fiber's plain solve; both are kept per table.
     """
     tol = max(base.tolerance, second.tolerance)
     near = _nearness_values(base)
-    failing: dict[tuple, tuple[str, ...] | None] = {}
     members_out: list[tuple[str, ...]] = []
     counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
     for cls in partition.non_singleton_classes:
         gap = partition.gap[cls]
         for x in cls:
             fib = gravitational(second, float(near[base.index(x)]))
-            key = (_table_key(fib), gap)
-            if key not in failing:
-                family, dimension = solves(fib)
-                found = _least_basis(fib, family, np.abs(fib.dist - gap) > tol, dimension)
-                failing[key] = found.basis if found else None
-            if failing[key] is not None:
-                counterexamples[cls] = (x, failing[key])
+            found = _TABLES.recall(_table_key(fib), lambda: _failing_basis(fib, gap, tol), gap, tol)
+            if found is not None:
+                counterexamples[cls] = (x, found)
                 break
         else:
             members_out.append(cls)

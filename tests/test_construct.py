@@ -27,6 +27,7 @@ from lexmetric.construct import (
     squash,
 )
 from lexmetric.space import FiniteMetricSpace, diameter, nearness_point, validate
+from lexmetric.theory import random_metric_space
 
 from test_space import metric_spaces
 
@@ -183,10 +184,16 @@ class TestLexicographic:
         assert prod.d("b|y1", "b|y2") == 2.0
         assert prod.d("c|y1", "c|y2") == 5.0
 
-    def test_separator_is_reserved(self):
-        bad = FiniteMetricSpace(("a|x", "b"), [[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="reserved"):
-            lexicographic(bad, K2)
+    def test_factor_labels_holding_the_separator_are_parenthesized(self):
+        inner = lexicographic(K2, K2).space
+        nested = lexicographic(inner, K2)
+        assert nested.space.points[:2] == ("(v1|v1)|v1", "(v1|v1)|v2")
+        assert nested.base_of["(v1|v2)|v1"] == "v1|v2"
+        assert nested.fiber_of["(v1|v2)|v1"] == "v1"
+        right = lexicographic(K2, inner)
+        assert right.space.points[:2] == ("v1|(v1|v1)", "v1|(v1|v2)")
+        assert right.fiber_of["v2|(v1|v2)"] == "v1|v2"
+        assert fiber(nested, "v2|v1").points == K2.points
 
     @pytest.mark.parametrize("position", ["base", "second"])
     def test_rejects_non_finite_factor(self, position):
@@ -342,3 +349,27 @@ def test_squash_preserves_all_comparisons(space, eta):
     for i in range(len(flat)):
         for j in range(len(flat)):
             assert (flat[i] < flat[j]) == (flat_out[i] < flat_out[j])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nested_products_are_associative(seed):
+    """(A o B) o C and A o (B o C) have one table, point (x, y, z) by point (x, y, z)."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_metric_space(rng, int(rng.integers(2, 4)), prefix=p) for p in "abc")
+    left_inner, right_inner = lexicographic(a, b), lexicographic(b, c)
+    left, right = lexicographic(left_inner.space, c), lexicographic(a, right_inner.space)
+
+    def left_triple(label):
+        xy = left.base_of[label]
+        return left_inner.base_of[xy], left_inner.fiber_of[xy], left.fiber_of[label]
+
+    def right_triple(label):
+        yz = right.fiber_of[label]
+        return right.base_of[label], right_inner.base_of[yz], right_inner.fiber_of[yz]
+
+    at = {right_triple(p): i for i, p in enumerate(right.space.points)}
+    order = [at[left_triple(p)] for p in left.space.points]
+    assert sorted(order) == list(range(right.space.n))
+    assert np.array_equal(left.space.dist, right.space.dist[np.ix_(order, order)])
+    assert left.space.tolerance == right.space.tolerance

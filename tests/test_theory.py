@@ -1,15 +1,20 @@
 """Verification of the product identities, each computing both sides independently."""
 
+import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexmetric.construct import (
     complete_graph,
     cycle_graph,
     discrete_metric,
     graph_metric,
+    lexicographic,
     path_graph,
     squash,
 )
@@ -300,6 +305,107 @@ def test_verify_all_past_the_guard_raises_before_any_solve(counted):
     with pytest.raises(SizeGuardExceeded, match="42"):
         verify_all(discrete_metric(7), discrete_metric(6))
     assert counted == {"products": 0, "solves": []}
+
+
+def test_second_verify_all_of_a_pair_solves_only_the_products(counted, monkeypatch):
+    """Fiber, factor and special-class results come from the per-table memo the
+    first run filled; only the two products are built and solved again."""
+    import lexmetric.twins as twins
+
+    constrained = []
+
+    def least_basis(space, family, must_hit, budget, enumerate_all=False):
+        constrained.append(space.points)
+        return real_least_basis(space, family, must_hit, budget, enumerate_all)
+
+    real_least_basis = twins._least_basis
+    monkeypatch.setattr(twins, "_least_basis", least_basis)
+    first = json.dumps([r.to_json_dict() for r in verify_all(C4, P4)])
+    assert constrained and len(counted["solves"]) == 5
+    counted["solves"].clear()
+    constrained.clear()
+    second = json.dumps([r.to_json_dict() for r in verify_all(C4, P4)])
+    assert second == first
+    assert constrained == []
+    assert len(counted["solves"]) == 2
+    assert all(len(points) == C4.n * P4.n for points, _ in counted["solves"])
+
+
+def memo_pairs() -> list:
+    """Twenty pairs: graph pairs with twins and repeated fibers, and weighted pairs."""
+    graphs = connected_graph_spaces(2, 3) + [C4, P4, HALF_PAIR]
+    graph_pairs = list(itertools.product(graphs, repeat=2))[::6][:10]
+    return graph_pairs + random_pairs(5, 10)
+
+
+def memo_bytes_held() -> int:
+    """The table bytes of every memo entry, each entry counted apart."""
+    import lexmetric.resolving as resolving
+
+    return sum(len(key[0][2]) for key in list(resolving._TABLES))
+
+
+@pytest.mark.parametrize("bound", [0, 100, 300])
+def test_memo_bound_holds_and_changes_no_answer(monkeypatch, bound):
+    """Past the bound the oldest entries go; a table larger than it is never held."""
+    import lexmetric.resolving as resolving
+
+    pairs = memo_pairs()
+    expected = [[r.to_json_dict() for r in verify_all(b, s)] for b, s in pairs]
+    assert memo_bytes_held() > 300
+    resolving._TABLES.clear()
+    monkeypatch.setattr(resolving, "_MEMO_BYTES", bound)
+    for (base, second), reports in zip(pairs, expected):
+        assert [r.to_json_dict() for r in verify_all(base, second)] == reports
+        assert memo_bytes_held() == resolving._TABLES.nbytes <= bound
+        assert formula_rhs(base, second) == reports[0]["rhs"]
+        assert memo_bytes_held() <= bound
+
+
+@pytest.mark.parametrize("bound", [None, 300])
+def test_threads_sharing_the_memo_give_the_serial_reports(monkeypatch, bound):
+    """Four threads verify the same twenty pairs, each in its own order, with the
+    interpreter switching threads as often as it can."""
+    import lexmetric.resolving as resolving
+
+    pairs = memo_pairs()
+    serial = [json.dumps([r.to_json_dict() for r in verify_all(b, s)]) for b, s in pairs]
+    resolving._TABLES.clear()
+    if bound is not None:
+        monkeypatch.setattr(resolving, "_MEMO_BYTES", bound)
+    results: dict[int, list] = {}
+
+    def work(k: int) -> None:
+        order = list(range(len(pairs)))[k:] + list(range(len(pairs)))[:k]
+        got = {i: json.dumps([r.to_json_dict() for r in verify_all(*pairs[i])]) for i in order}
+        results[k] = [got[i] for i in range(len(pairs))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(5 * k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {5 * k: serial for k in range(4)}
+    assert memo_bytes_held() == resolving._TABLES.nbytes
+    assert bound is None or resolving._TABLES.nbytes <= bound
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_identities_hold_with_a_product_as_the_base(seed):
+    """The base is a product itself: its labels hold the separator, and a two-point
+    second factor makes each of its fibers a twin class."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_metric_space(rng, int(rng.integers(2, 4)), prefix=p) for p in "abc")
+    base = lexicographic(a, b).space
+    for report in verify_all(base, c):
+        assert report.skipped or report.passed, report.to_json_dict()
 
 
 def test_path_by_p4_partial_far_witness():

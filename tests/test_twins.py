@@ -17,7 +17,7 @@ from lexmetric.construct import (
     lexicographic,
     path_graph,
 )
-from lexmetric.resolving import metric_dimension
+from lexmetric.resolving import metric_dimension, resolves
 from lexmetric.space import FiniteMetricSpace, diameter, nearness, nearness_point
 from lexmetric.theory import connected_graph_spaces, random_pairs, weighted_corpus_spaces
 from lexmetric.twins import (
@@ -208,6 +208,35 @@ class TestSpecialClasses:
         assert sorted(solves) == [(False, False)] * fibers + [(True, False)] * fibers
         assert special.member_classes
 
+    def test_special_solve_is_kept_per_tolerance_of_both_factors(self):
+        # One fiber and gap; only the base's tolerance differs. The witness z
+        # sits 0.9e-9 off the gap from s: a far witness at 1e-9, none at 0.
+        eps = 0.9e-9
+        second = FiniteMetricSpace(
+            ("s", "z", "zp"),
+            [[0, 1 + eps, 1 - eps], [1 + eps, 0, 0.5], [1 - eps, 0.5, 0]],
+            tolerance=0.0,
+        )
+        loose = FiniteMetricSpace(("u1", "u2"), [[0, 1], [1, 0]])
+        strict = FiniteMetricSpace(("u1", "u2"), [[0, 1], [1, 0]], tolerance=0.0)
+        for base in (loose, strict, loose):
+            special = special_classes(base, second)
+            assert bool(special.member_classes) == (base is loose)
+        assert special_classes(strict, second).counterexamples == {("u1", "u2"): ("u1", ("s",))}
+
+    def test_constrained_solve_leaves_the_stored_family_unchanged(self):
+        from lexmetric.resolving import _table_solve
+
+        fib = gravitational(P4, 1.0)
+        family, dimension = _table_solve(fib)
+        before = [list(part) for part in family]
+        assert all(type(part) is tuple for part in family)
+        special = special_classes(P3, P4)
+        assert special.counterexamples == {("a", "c"): ("a", ("a", "c"))}
+        again, _ = _table_solve(fib)
+        assert again is family
+        assert [list(part) for part in again] == before
+
     def test_fiber_past_the_enumeration_cap_is_decided(self):
         # 17 points is past the complete-enumeration cap. Every basis leaves
         # out one point, which sees all the basis points at the gap 1.
@@ -396,3 +425,62 @@ def test_partition_matches_the_union_find_oracle_on_the_corpora():
         spaces += [base, second, lexicographic(base, second).space]
     for space in spaces:
         assert_matches_the_union_find_oracle(space)
+
+
+def ilp_constrained_feasible(fib: FiniteMetricSpace, must_hit: np.ndarray, size: int) -> bool:
+    """Whether some point set of ``size`` points resolves ``fib`` and meets every
+    ``must_hit`` row, by integer programming on the table alone."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    pairs = [
+        np.abs(fib.dist[i] - fib.dist[j]) > fib.tolerance
+        for i, j in itertools.combinations(range(fib.n), 2)
+    ]
+    rows = np.vstack([np.array(pairs), must_hit]).astype(float)
+    ones = np.ones(fib.n)
+    result = milp(
+        np.zeros(fib.n),
+        constraints=[LinearConstraint(rows, lb=1), LinearConstraint(ones, lb=size, ub=size)],
+        integrality=ones,
+        bounds=Bounds(0, 1),
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+def test_least_failing_basis_matches_an_independent_ilp():
+    """Seeded fibers of 6-16 points, each capped, with the cap or an entry as the gap.
+
+    A basis with no far witness meets, for every fiber point z, the points off the gap
+    from z. The constrained solve's answer must meet those rows within the fiber
+    dimension, and None must mean no point set of that size does.
+    """
+    pytest.importorskip("scipy")
+    from lexmetric.resolving import _least_basis, _table_solve
+    from lexmetric.theory import random_connected_graph, random_metric_space
+
+    rng = np.random.default_rng(61)
+    outcomes = []
+    for trial in range(40):
+        n = int(rng.integers(6, 17))
+        if trial % 2:
+            second, t = random_metric_space(rng, n), float(rng.uniform(0.3, 0.8))
+        else:
+            second = graph_metric(random_connected_graph(rng, n, extra_edge_prob=0.2))
+            t = float(rng.choice([0.5, 1.0, 1.5]))
+        fib = gravitational(second, t)
+        # The cap itself, where a twin gap of twice the nearness lands, or any entry.
+        gap = 2 * t if trial % 4 < 2 else float(rng.choice(fib.dist[np.triu_indices(n, 1)]))
+        must_hit = np.abs(fib.dist - gap) > fib.tolerance
+        family, dimension = _table_solve(fib)
+        found = _least_basis(fib, family, must_hit, dimension)
+        if found is None:
+            assert not ilp_constrained_feasible(fib, must_hit, dimension)
+        else:
+            chosen = np.isin(fib.points, found.basis)
+            assert len(found.basis) == dimension
+            assert resolves(fib, found.basis)
+            assert must_hit[:, chosen].any(axis=1).all()
+            assert ilp_constrained_feasible(fib, must_hit, dimension)
+        outcomes.append(found is None)
+    assert 0 < sum(outcomes) < len(outcomes)
