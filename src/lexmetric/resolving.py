@@ -14,6 +14,7 @@ subset-enumeration solver is kept behind a flag as its oracle.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -25,6 +26,10 @@ from .space import FiniteMetricSpace, _require_finite, _row_blocks, _table_key
 
 DEFAULT_ENUMERATION_CAP = 16
 _MEMO_BYTES = 64 << 20
+# A memo entry's own tuple and charge, and its dict slot with the table's spare room.
+_ENTRY_BYTES = 160
+# Objects :func:`_footprint` sizes alone; none of them is tracked by the garbage collector.
+_SCALARS = frozenset({int, bool, float, str, bytes, type(None)})
 
 
 class EnumerationCapExceeded(ValueError):
@@ -40,7 +45,9 @@ class SolveStats:
     ``components`` the independent groups those split into. ``nodes`` and
     ``memo_hits`` count the branching nodes searched and those answered from
     a component's table, and ``prunes`` the searches cut by the packing
-    bound; all three are summed over components and take no part in equality.
+    bound; all three are summed over components. ``reused`` counts the
+    components answered from the process-wide memo, with no search. The four
+    counters take no part in equality.
     """
 
     raw_sets: int
@@ -49,6 +56,7 @@ class SolveStats:
     nodes: int = field(default=0, compare=False)
     memo_hits: int = field(default=0, compare=False)
     prunes: int = field(default=0, compare=False)
+    reused: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -235,9 +243,48 @@ def _packing_lower_bound(ordered: list[int]) -> int:
 
 
 class _Memo(dict):
-    """A residual family's ``frozenset`` to ``(size, exact)``, with three counters."""
+    """A residual family's ``frozenset`` to ``(size, exact)``, with four counters."""
 
-    nodes = hits = prunes = 0
+    nodes = hits = prunes = reused = 0
+
+
+def _search(active: list[int], limit: int, memo: _Memo) -> int:
+    """The minimum when it is at most ``limit``, else a lower bound above it.
+
+    The search of :func:`_min_hitting_set_size`. It is a module function rather than
+    a closure, so no reference cycle keeps ``memo`` alive past its solve.
+    """
+    if not active:
+        return 0
+    if reduce(and_, active):
+        return 1
+    # Sorted by value, then stably by size: size order with ties by value.
+    ordered = sorted(sorted(active), key=int.bit_count)
+    bound = _packing_lower_bound(ordered)
+    if bound > limit:
+        memo.prunes += 1
+        return bound
+    target = ordered[0]
+    if target & (target - 1) == 0:
+        return 1 + _search([m for m in active if not m & target], limit - 1, memo)
+    key = frozenset(active)
+    stored = memo.get(key)
+    if stored is not None and (stored[1] or stored[0] > limit):
+        memo.hits += 1
+        return stored[0]
+    memo.nodes += 1
+    best = limit + 1
+    banned = 0
+    for cand in _positions(target):
+        bit = 1 << cand
+        reduced = [m & ~banned for m in active if not m & bit]
+        if all(reduced):
+            best = min(best, 1 + _search(reduced, best - 2, memo))
+        if best == bound:
+            break
+        banned |= bit
+    memo[key] = (best, best <= limit)
+    return best
 
 
 def _min_hitting_set_size(sets: list[int], budget: int, memo: _Memo) -> int | None:
@@ -254,41 +301,7 @@ def _min_hitting_set_size(sets: list[int], budget: int, memo: _Memo) -> int | No
     candidates trimmed, keys ``memo``: its size is exact, or a lower bound
     of ``limit + 1`` when the search was cut at ``limit``.
     """
-
-    def search(active: list[int], limit: int) -> int:
-        """The minimum when it is at most ``limit``, else a lower bound above it."""
-        if not active:
-            return 0
-        if reduce(and_, active):
-            return 1
-        ordered = sorted(active, key=lambda m: (m.bit_count(), m))
-        bound = _packing_lower_bound(ordered)
-        if bound > limit:
-            memo.prunes += 1
-            return bound
-        target = ordered[0]
-        if target & (target - 1) == 0:
-            return 1 + search([m for m in active if not m & target], limit - 1)
-        key = frozenset(active)
-        stored = memo.get(key)
-        if stored is not None and (stored[1] or stored[0] > limit):
-            memo.hits += 1
-            return stored[0]
-        memo.nodes += 1
-        best = limit + 1
-        banned = 0
-        for cand in _positions(target):
-            bit = 1 << cand
-            reduced = [m & ~banned for m in active if not m & bit]
-            if all(reduced):
-                best = min(best, 1 + search(reduced, best - 2))
-            if best == bound:
-                break
-            banned |= bit
-        memo[key] = (best, best <= limit)
-        return best
-
-    size = search(sets, budget)
+    size = _search(sets, budget, memo)
     return size if size <= budget else None
 
 
@@ -333,7 +346,7 @@ def _minimal_masks(sets: list[int]) -> list[int]:
     (Weihe 1998). Sorting by size puts every subset before its supersets,
     so the smallest set left is always minimal; its copies go with them.
     """
-    masks = sorted(sets, key=lambda m: (m.bit_count(), m))
+    masks = sorted(sorted(sets), key=int.bit_count)
     minimal: list[int] = []
     while masks:
         least = masks[0]
@@ -364,16 +377,31 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
     """Lex-least minimum hitting set of one component, in global positions.
 
     None when every hitting set of the component has more than ``budget``
-    points. Sets sharing a point are closed by their least common point;
-    otherwise the size search and the witness reconstruction share one table,
-    returned alongside for its counters; nothing is kept past the call.
+    points. Sets sharing a point are closed by their least common point.
+    Otherwise the process-wide memo is keyed by the sets shifted down to their
+    least position; a shift keeps the order of positions, so it keeps the
+    lex-least witness, stored as offsets once found (and only then). A new
+    component gets the size search and the witness reconstruction, sharing one
+    table, which is returned for its counters.
     """
     memo = _Memo()
     common = reduce(and_, masks)
     if common and budget >= 1:
         return [(common & -common).bit_length() - 1], memo
+    union = reduce(or_, masks)
+    low = (union & -union).bit_length() - 1
+    key = frozenset([m >> low for m in masks])
+    entry = _TABLES.get(key)
+    if entry is not None:
+        memo.reused = 1
+        offsets = entry[0]
+        return (None if len(offsets) > budget else [low + k for k in offsets]), memo
     size = _min_hitting_set_size(masks, budget, memo)
-    return (None if size is None else _lex_least_hitting_set(masks, size, memo)), memo
+    if size is None:
+        return None, memo
+    witness = _lex_least_hitting_set(masks, size, memo)
+    _TABLES.store(key, tuple(k - low for k in witness))
+    return witness, memo
 
 
 def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
@@ -414,13 +442,14 @@ def _least_basis(
         minimal = _minimal_masks([*minimal, *extra])
     components = _components(minimal)
     witness: list[int] = []
-    nodes = hits = prunes = 0
+    nodes = hits = prunes = reused = 0
     for masks in components:
         part, memo = _solve_component(masks, budget - len(witness))
         if part is None:
             return None
         witness += part
         nodes, hits, prunes = nodes + memo.nodes, hits + memo.hits, prunes + memo.prunes
+        reused += memo.reused
     basis = tuple(labels[i] for i in sorted(witness))
     all_bases = None
     if enumerate_all:
@@ -430,33 +459,62 @@ def _least_basis(
             if all(sum(1 << i for i in combo) & m for m in minimal)
         )
     raw_sets = space.n * (space.n - 1) // 2 + len(must_hit)
-    stats = SolveStats(raw_sets, len(minimal), len(components), nodes, hits, prunes)
+    stats = SolveStats(raw_sets, len(minimal), len(components), nodes, hits, prunes, reused)
     return ResolveResult(len(basis), basis, all_bases, stats)
 
 
-class _TableMemo(dict):
-    """Results on one table, keyed by its exact bytes, dropped oldest first past ``_MEMO_BYTES``.
+def _footprint(obj) -> int:
+    """Bytes held by ``obj`` and what it reaches through containers and object fields.
 
-    Entries are stored whole under the lock, though two threads may compute one. ``nbytes``
-    rises before a store and falls after a drop, so it never reads below the bytes held.
+    An object reached twice is counted twice, so shared labels only raise the estimate.
+    Scalars inside a container are sized in the loop rather than by a call each.
+    """
+    kind = type(obj)
+    if kind is tuple or kind is frozenset:
+        parts = obj
+    elif kind is dict:
+        parts = (*obj, *obj.values())
+    elif kind in _SCALARS:
+        return kind.__sizeof__(obj)
+    elif hasattr(obj, "__dict__"):
+        parts = (vars(obj),)
+    else:
+        return sys.getsizeof(obj)
+    size = sys.getsizeof(obj)
+    for part in parts:
+        part_kind = type(part)
+        size += part_kind.__sizeof__(part) if part_kind in _SCALARS else _footprint(part)
+    return size
+
+
+class _TableMemo(dict):
+    """Results keyed exactly by what they depend on, dropped oldest first past ``_MEMO_BYTES``.
+
+    A key is a table's :func:`~lexmetric.space._table_key` with a tag, or a hitting-set
+    component's shifted sets. Each entry is charged the :func:`_footprint` of its key
+    and value, plus ``_ENTRY_BYTES``. Entries are stored whole under the lock, though
+    two threads may compute one. ``nbytes`` rises before a store and falls after a drop,
+    so it never reads below the charges held.
     """
 
     nbytes = 0
     lock = threading.Lock()
 
-    def recall(self, table: tuple, compute, *extra):
-        """What ``compute()`` gives on the table keyed ``table``, ``extra`` joining the key."""
-        key = (table, *extra)
+    def recall(self, key: tuple, compute):
+        """What ``compute()`` gives, kept under ``key``."""
         entry = self.get(key)
-        if entry is None:
-            entry = compute(), len(table[2])
-            with self.lock:
-                if key not in self:
-                    self.nbytes += entry[1]
-                    self[key] = entry
-                while self and self.nbytes > _MEMO_BYTES:
-                    self.nbytes -= self.pop(next(iter(self)))[1]
-        return entry[0]
+        return self.store(key, compute()) if entry is None else entry[0]
+
+    def store(self, key, value):
+        """Keep ``value`` under ``key``, unless an entry is there already; return it."""
+        cost = _footprint(key) + _footprint(value) + _ENTRY_BYTES
+        with self.lock:
+            if key not in self:
+                self.nbytes += cost
+                self[key] = value, cost
+            while self and self.nbytes > _MEMO_BYTES:
+                self.nbytes -= self.pop(next(iter(self)))[1]
+        return value
 
     def clear(self) -> None:
         with self.lock:
@@ -474,7 +532,7 @@ def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[tuple, tuple], int]:
         family = tuple(map(tuple, _minimal_family(space)))
         return family, _least_basis(space, family, np.zeros((0, space.n), bool), space.n).dimension
 
-    return _TABLES.recall(_table_key(space), solve)
+    return _TABLES.recall((_table_key(space), "solve"), solve)
 
 
 def metric_dimension(

@@ -23,11 +23,12 @@ from .construct import (
     lexicographic,
     squash,
 )
-from .resolving import ResolveResult, _table_solve, metric_dimension
+from .resolving import _TABLES, ResolveResult, _table_solve, metric_dimension
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
     SpaceStats,
+    _table_key,
     diameter,
     space_stats,
 )
@@ -70,17 +71,18 @@ class VerificationReport:
 
 
 def _table(space: FiniteMetricSpace) -> list[list[float]]:
-    return [[float(x) for x in row] for row in space.dist]
+    return space.dist.tolist()
 
 
 @dataclass(eq=False)
 class _Pair:
     """One verified pair: each object the reports share is computed once.
 
-    Holds the base statistics, the product and its solve, and the base's
-    twin partition. Fiber, factor and special-class solves come from the
-    process-wide memo of results on one table, so a table met again, in this
-    pair or an earlier one, is not built or solved again.
+    Holds the product and its solve. The base statistics and twin partition,
+    and the fiber, factor and special-class solves, come from the process-wide
+    memo of results on one table, so a table met again, in this pair or an
+    earlier one, is not analysed or solved again. The shared statistics and
+    partition are read here and never handed out, so no caller can change them.
     """
 
     base: FiniteMetricSpace
@@ -97,7 +99,7 @@ class _Pair:
 
     @cached_property
     def stats(self) -> SpaceStats:
-        return space_stats(self.base)
+        return _TABLES.recall((_table_key(self.base), "stats"), lambda: space_stats(self.base))
 
     @cached_property
     def product(self) -> ProductSpace:
@@ -110,7 +112,8 @@ class _Pair:
 
     @cached_property
     def partition(self) -> TwinPartition:
-        return twin_classes(self.base)
+        key = _table_key(self.base), "partition"
+        return _TABLES.recall(key, lambda: twin_classes(self.base))
 
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:

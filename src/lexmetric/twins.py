@@ -153,7 +153,8 @@ def _special_classes(
         gap = partition.gap[cls]
         for x in cls:
             fib = gravitational(second, float(near[base.index(x)]))
-            found = _TABLES.recall(_table_key(fib), lambda: _failing_basis(fib, gap, tol), gap, tol)
+            key = _table_key(fib), gap, tol
+            found = _TABLES.recall(key, lambda: _failing_basis(fib, gap, tol))
             if found is not None:
                 counterexamples[cls] = (x, found)
                 break

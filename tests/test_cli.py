@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lexmetric import resolving
 from lexmetric.cli import main
 from lexmetric.space import FiniteMetricSpace, save_space, space_from_json, validate
 
@@ -397,3 +398,17 @@ def test_golden_output(capsys, monkeypatch, name, command, code):
     err_file = GOLDEN_DIR / f"{name}.err"
     if err_file.exists():
         assert err == err_file.read_text()
+
+
+def test_golden_output_is_the_same_on_a_warm_memo(capsys, monkeypatch):
+    """Every golden case run twice in one process: the second round finds each table,
+    base analysis and hitting-set component the first round stored."""
+    monkeypatch.chdir(GOLDEN_DIR)
+    for warm in (False, True):
+        assert any(type(key) is frozenset for key in resolving._TABLES) == warm
+        for name, command, code in GOLDEN:
+            got_code, out, err = run(capsys, command.split())
+            assert (got_code, out) == (code, (GOLDEN_DIR / f"{name}.out").read_text()), name
+            err_file = GOLDEN_DIR / f"{name}.err"
+            if err_file.exists():
+                assert err == err_file.read_text(), name

@@ -6,9 +6,11 @@ both must report as the lexicographically least one.
 """
 
 import dataclasses
+import gc
 import itertools
 import re
 import tracemalloc
+import weakref
 from functools import reduce
 from operator import and_, or_
 from unittest import mock
@@ -34,6 +36,7 @@ from lexmetric.resolving import (
     _Memo,
     _components,
     _distinguisher_sets,
+    _least_basis,
     _lex_least_hitting_set,
     _min_hitting_set_size,
     _minimal_family,
@@ -523,6 +526,55 @@ def test_solve_component_agrees_with_plain_branch_and_bound(sets, budget):
         assert (memo.nodes, memo.hits, memo.prunes) == (0, 0, 0)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 255), min_size=1, max_size=10),
+    st.lists(st.integers(1, 70), min_size=1, max_size=3),
+)
+@example(TRIPLES_OF_FIVE, [1, 64])
+@example(COMMON_POINT, [2])
+@example(OPEN_AT_ZERO_BUDGET, [5])
+def test_shifted_copies_are_answered_from_the_process_memo(sets, shifts):
+    """A family and its copies shifted left, at budgets below, at and above its
+    optimum: each answer equals the oracle's and a solve on an empty memo. Once a
+    witness is stored, every copy is answered from it with no search, None below."""
+    size = plain_min_hitting_set_size(sets, 8)
+    copies = [[m << shift for m in sets] for shift in (0, *shifts)]
+    budgets = [size - 1, size, size + 1]
+    expected = {}
+    for k, family in enumerate(copies):
+        for budget in budgets:
+            resolving_module._TABLES.clear()
+            expected[k, budget] = _solve_component(family, budget)[0]
+            oracle = None if budget < size else plain_lex_least_hitting_set(family, size)
+            assert expected[k, budget] == oracle
+    resolving_module._TABLES.clear()
+    searched = not reduce(and_, sets)
+    stored = False
+    for budget in [*budgets, *reversed(budgets)]:
+        for k, family in enumerate(copies):
+            part, memo = _solve_component(family, budget)
+            assert part == expected[k, budget]
+            assert memo.reused == (searched and stored)
+            if memo.reused:
+                assert (memo.nodes, memo.hits, memo.prunes, len(memo)) == (0, 0, 0, 0)
+            stored = stored or budget >= size
+
+
+def test_search_table_dies_with_its_solve():
+    """No reference cycle holds a component's table: with the cycle collector off,
+    dropping the table the solve returns frees it."""
+    gc.disable()
+    try:
+        part, memo = _solve_component(TRIPLES_OF_FIVE, 5)
+        assert part == [0, 1, 2] and len(memo) > 0
+        table = weakref.ref(memo)
+        del memo
+        assert table() is None
+    finally:
+        gc.enable()
+
+
 def test_interleaved_components():
     """Components {0, 2, 4} and {1, 3} interleave in label order."""
     sets = [0b101, 0b10100, 0b1010]
@@ -565,6 +617,36 @@ def test_kernel_agrees_with_plain_branch_and_bound_and_enumeration(space):
     )
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(solver_spaces(), st.integers(0, 2**32 - 1))
+def test_must_hit_solves_agree_on_a_warm_and_a_cold_memo(space, seed):
+    """Solves with extra must-hit rows, as the special-class test makes them, at
+    budgets below, at and above their optimum: on an empty memo, after the plain
+    solve of the same space, and again in reverse, each answer is the oracle's."""
+    rng = np.random.default_rng(seed)
+    family = _minimal_family(space)
+    labels, minimal = family
+    rows = rng.random((int(rng.integers(1, 4)), space.n)) < 0.3
+    extra = [sum(1 << k for k, p in enumerate(labels) if row[space.index(p)]) for row in rows]
+    sets = [*minimal, *extra]
+    size = plain_min_hitting_set_size(sets, space.n) if all(extra) else None
+    budgets = [space.n] if size is None else [size - 1, size, size + 1]
+    expected = {}
+    for budget in budgets:
+        resolving_module._TABLES.clear()
+        found = _least_basis(space, family, rows, budget)
+        expected[budget] = found and found.basis
+        if size is None or budget < size:
+            assert found is None
+        else:
+            assert found.basis == tuple(labels[i] for i in plain_lex_least_hitting_set(sets, size))
+    resolving_module._TABLES.clear()
+    metric_dimension(space)
+    for budget in [*budgets, *reversed(budgets)]:
+        found = _least_basis(space, family, rows, budget)
+        assert (found and found.basis) == expected[budget]
+
+
 def weighted_7x7(seed: int, index: int):
     """The ``index``-th weighted 7x7 pair drawn from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
@@ -577,12 +659,16 @@ def weighted_7x7(seed: int, index: int):
 @pytest.mark.parametrize(
     "seed, index, stats",
     [
-        (0, 1, SolveStats(1176, reduced_sets=23, components=7, nodes=2, memo_hits=0, prunes=0)),
-        (1, 4, SolveStats(1176, reduced_sets=46, components=7, nodes=4, memo_hits=0, prunes=0)),
+        (0, 1, SolveStats(1176, 23, 7, nodes=1, memo_hits=0, prunes=0, reused=1)),
+        (1, 4, SolveStats(1176, 46, 7, nodes=2, memo_hits=0, prunes=0, reused=2)),
     ],
 )
 def test_heavy_tail_products_solve(seed, index, stats):
-    """Products that took 27 s and over 40 s to solve without the reduction."""
+    """Products that took 27 s and over 40 s to solve without the reduction.
+
+    Fibers of equal nearness give components equal up to a shift: each is searched
+    once, and its copies are answered from the process-wide memo.
+    """
     base, second = weighted_7x7(seed, index)
     product = lexicographic(base, second).space
     result = metric_dimension(product)
@@ -672,6 +758,7 @@ def test_solve_past_one_word_matches_the_per_row_conversion(n):
         random_metric_space(rng, n, prefix="x"), random_metric_space(rng, n, prefix="y")
     ).space
     fast = metric_dimension(product)
+    resolving_module._TABLES.clear()
     with mock.patch.object(resolving_module, "_minimal_family", per_pair_family):
         with mock.patch.object(resolving_module, "_word_masks", word_masks_oracle):
             oracle = metric_dimension(product)

@@ -339,10 +339,13 @@ def memo_pairs() -> list:
 
 
 def memo_bytes_held() -> int:
-    """The table bytes of every memo entry, each entry counted apart."""
+    """The footprint of every memo entry, each entry counted apart."""
     import lexmetric.resolving as resolving
 
-    return sum(len(key[0][2]) for key in list(resolving._TABLES))
+    return sum(
+        resolving._footprint(key) + resolving._footprint(value) + resolving._ENTRY_BYTES
+        for key, (value, _) in list(resolving._TABLES.items())
+    )
 
 
 @pytest.mark.parametrize("bound", [0, 100, 300])
@@ -394,6 +397,76 @@ def test_threads_sharing_the_memo_give_the_serial_reports(monkeypatch, bound):
     assert results == {5 * k: serial for k in range(4)}
     assert memo_bytes_held() == resolving._TABLES.nbytes
     assert bound is None or resolving._TABLES.nbytes <= bound
+    assert bound is not None or any(type(key) is frozenset for key in resolving._TABLES)
+
+
+def seeded_pairs(count: int) -> list:
+    """``count`` pairs: half seeded graph pairs on 2-4 vertices, half ``random_pairs``."""
+    graphs = connected_graph_spaces(2, 4)
+    picks = np.random.default_rng(15).integers(0, len(graphs), (count - count // 2, 2))
+    return [(graphs[i], graphs[j]) for i, j in picks] + random_pairs(15, count // 2)
+
+
+def test_verify_all_is_the_same_on_a_warm_memo():
+    """300 seeded pairs, each verified on an empty memo, then all in one warm pass,
+    forwards and backwards: the JSON of every report is the same."""
+    import lexmetric.resolving as resolving
+
+    pairs = seeded_pairs(300)
+    cold = []
+    for base, second in pairs:
+        resolving._TABLES.clear()
+        cold.append(json.dumps([r.to_json_dict() for r in verify_all(base, second)]))
+    resolving._TABLES.clear()
+    for order in (range(len(pairs)), reversed(range(len(pairs)))):
+        for i in order:
+            assert json.dumps([r.to_json_dict() for r in verify_all(*pairs[i])]) == cold[i]
+    assert any(type(key) is frozenset for key in resolving._TABLES)
+
+
+def test_reports_share_nothing_a_caller_can_change_with_the_memo():
+    """Emptying every list and dict of one pair's reports changes no later report."""
+    pairs = [(C4, P4), (K3, HALF_PAIR), *random_pairs(16, 4)]
+    expected = [json.dumps([r.to_json_dict() for r in verify_all(b, s)]) for b, s in pairs]
+
+    def empty(value) -> None:
+        for inner in list(value.values() if isinstance(value, dict) else value):
+            if isinstance(inner, (list, dict)):
+                empty(inner)
+        value.clear()
+
+    for base, second in pairs:
+        for report in verify_all(base, second):
+            empty(report.witnesses)
+    assert [json.dumps([r.to_json_dict() for r in verify_all(b, s)]) for b, s in pairs] == expected
+
+
+@pytest.mark.parametrize("bound", [20_000, 100_000])
+def test_memory_held_by_the_memo_stays_within_its_bound(monkeypatch, bound):
+    """Measured by tracemalloc: what emptying the full memo frees is at most its
+    charge, which is at most the bound, and the memo fills to near the bound."""
+    import gc
+    import tracemalloc
+
+    import lexmetric.resolving as resolving
+
+    monkeypatch.setattr(resolving, "_MEMO_BYTES", bound)
+    pairs = seeded_pairs(60)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for base, second in pairs:
+            verify_all(base, second)
+        del base, second, pairs
+        gc.collect()
+        filled = tracemalloc.get_traced_memory()[0]
+        charged = resolving._TABLES.nbytes
+        resolving._TABLES.clear()
+        gc.collect()
+        held = filled - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert bound / 2 < held <= charged <= bound
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
