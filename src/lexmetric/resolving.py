@@ -14,6 +14,7 @@ subset-enumeration solver is kept behind a flag as its oracle.
 from __future__ import annotations
 
 import itertools
+import pickle
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -26,10 +27,8 @@ from .space import FiniteMetricSpace, _require_finite, _row_blocks, _table_key
 
 DEFAULT_ENUMERATION_CAP = 16
 _MEMO_BYTES = 64 << 20
-# A memo entry's own tuple and charge, and its dict slot with the table's spare room.
+# An entry's dict slot beyond its two strings, with the spare room a dict keeps after growing.
 _ENTRY_BYTES = 160
-# Objects :func:`_footprint` sizes alone; none of them is tracked by the garbage collector.
-_SCALARS = frozenset({int, bool, float, str, bytes, type(None)})
 
 
 class EnumerationCapExceeded(ValueError):
@@ -379,10 +378,11 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
     None when every hitting set of the component has more than ``budget``
     points. Sets sharing a point are closed by their least common point.
     Otherwise the process-wide memo is keyed by the sets shifted down to their
-    least position; a shift keeps the order of positions, so it keeps the
-    lex-least witness, stored as offsets once found (and only then). A new
-    component gets the size search and the witness reconstruction, sharing one
-    table, which is returned for its counters.
+    least position, sorted, so one family has one key; a shift keeps the order
+    of positions, so it keeps the lex-least witness, stored as offsets once
+    found (and only then). A new component gets the size search and the
+    witness reconstruction, sharing one table, which is returned for its
+    counters.
     """
     memo = _Memo()
     common = reduce(and_, masks)
@@ -390,17 +390,17 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
         return [(common & -common).bit_length() - 1], memo
     union = reduce(or_, masks)
     low = (union & -union).bit_length() - 1
-    key = frozenset([m >> low for m in masks])
-    entry = _TABLES.get(key)
-    if entry is not None:
+    key = pickle.dumps(sorted([m >> low for m in masks]))
+    held = _TABLES.get(key)
+    if held is not None:
         memo.reused = 1
-        offsets = entry[0]
+        offsets = pickle.loads(held)
         return (None if len(offsets) > budget else [low + k for k in offsets]), memo
     size = _min_hitting_set_size(masks, budget, memo)
     if size is None:
         return None, memo
     witness = _lex_least_hitting_set(masks, size, memo)
-    _TABLES.store(key, tuple(k - low for k in witness))
+    _TABLES.store(key, [k - low for k in witness])
     return witness, memo
 
 
@@ -425,7 +425,7 @@ def _least_basis(
 ) -> ResolveResult | None:
     """The lex-least smallest resolving set that also meets every row of ``must_hit``.
 
-    ``family`` is the space's :func:`_minimal_family`, as lists or tuples. ``must_hit`` is a
+    ``family`` is the space's :func:`_minimal_family`. ``must_hit`` is a
     boolean table with one column per point, in point order; each row is one
     more set the basis must hit. Returns None when no such set has at most
     ``budget`` points. With no rows and a budget of ``space.n`` this is the
@@ -463,38 +463,21 @@ def _least_basis(
     return ResolveResult(len(basis), basis, all_bases, stats)
 
 
-def _footprint(obj) -> int:
-    """Bytes held by ``obj`` and what it reaches through containers and object fields.
-
-    An object reached twice is counted twice, so shared labels only raise the estimate.
-    Scalars inside a container are sized in the loop rather than by a call each.
-    """
-    kind = type(obj)
-    if kind is tuple or kind is frozenset:
-        parts = obj
-    elif kind is dict:
-        parts = (*obj, *obj.values())
-    elif kind in _SCALARS:
-        return kind.__sizeof__(obj)
-    elif hasattr(obj, "__dict__"):
-        parts = (vars(obj),)
-    else:
-        return sys.getsizeof(obj)
-    size = sys.getsizeof(obj)
-    for part in parts:
-        part_kind = type(part)
-        size += part_kind.__sizeof__(part) if part_kind in _SCALARS else _footprint(part)
-    return size
+def _charge(key: bytes, value: bytes) -> int:
+    """What a memo entry holds, in bytes."""
+    return sys.getsizeof(key) + sys.getsizeof(value) + _ENTRY_BYTES
 
 
 class _TableMemo(dict):
-    """Results keyed exactly by what they depend on, dropped oldest first past ``_MEMO_BYTES``.
+    """Pickled results under pickled keys, dropped oldest first past ``_MEMO_BYTES``.
 
     A key is a table's :func:`~lexmetric.space._table_key` with a tag, or a hitting-set
-    component's shifted sets. Each entry is charged the :func:`_footprint` of its key
-    and value, plus ``_ENTRY_BYTES``. Entries are stored whole under the lock, though
-    two threads may compute one. ``nbytes`` rises before a store and falls after a drop,
-    so it never reads below the charges held.
+    component's sorted, shifted sets; both are canonical. An equal key that pickles
+    otherwise (a label that is the tag's own ``str`` object, say) can only miss, never
+    hit wrongly, as pickle round-trips. Each hit is a fresh copy, so no caller can change
+    what is held. Each entry is charged :func:`_charge`, worked out again when dropped.
+    Entries are stored whole under the lock, though two threads may compute one; ``nbytes``
+    rises before a store and falls after a drop, so it never reads below the charges held.
     """
 
     nbytes = 0
@@ -502,18 +485,20 @@ class _TableMemo(dict):
 
     def recall(self, key: tuple, compute):
         """What ``compute()`` gives, kept under ``key``."""
-        entry = self.get(key)
-        return self.store(key, compute()) if entry is None else entry[0]
+        packed = pickle.dumps(key)
+        held = self.get(packed)
+        return self.store(packed, compute()) if held is None else pickle.loads(held)
 
-    def store(self, key, value):
-        """Keep ``value`` under ``key``, unless an entry is there already; return it."""
-        cost = _footprint(key) + _footprint(value) + _ENTRY_BYTES
+    def store(self, key: bytes, value):
+        """Keep ``value`` pickled under ``key``, unless an entry is there already; return it."""
+        held = pickle.dumps(value)
         with self.lock:
             if key not in self:
-                self.nbytes += cost
-                self[key] = value, cost
+                self.nbytes += _charge(key, held)
+                self[key] = held
             while self and self.nbytes > _MEMO_BYTES:
-                self.nbytes -= self.pop(next(iter(self)))[1]
+                oldest = next(iter(self))
+                self.nbytes -= _charge(oldest, self.pop(oldest))
         return value
 
     def clear(self) -> None:
@@ -525,11 +510,11 @@ class _TableMemo(dict):
 _TABLES = _TableMemo()
 
 
-def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[tuple, tuple], int]:
-    """A space's :func:`_minimal_family`, as tuples, and metric dimension, once per table."""
-    def solve() -> tuple[tuple[tuple, tuple], int]:
+def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]], int]:
+    """A space's :func:`_minimal_family` and metric dimension, once per table."""
+    def solve() -> tuple[tuple[list[str], list[int]], int]:
         _require_finite(space)
-        family = tuple(map(tuple, _minimal_family(space)))
+        family = _minimal_family(space)
         return family, _least_basis(space, family, np.zeros((0, space.n), bool), space.n).dimension
 
     return _TABLES.recall((_table_key(space), "solve"), solve)

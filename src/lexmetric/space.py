@@ -246,7 +246,7 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
     """Plain-dict form of a space: {"points": [...], "d": [[...]], "tolerance": t}."""
     return {
         "points": list(space.points),
-        "d": [[float(x) for x in row] for row in space.dist],
+        "d": space.dist.tolist(),
         "tolerance": space.tolerance,
     }
 

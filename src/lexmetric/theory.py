@@ -70,19 +70,15 @@ class VerificationReport:
         return doc
 
 
-def _table(space: FiniteMetricSpace) -> list[list[float]]:
-    return space.dist.tolist()
-
-
 @dataclass(eq=False)
 class _Pair:
     """One verified pair: each object the reports share is computed once.
 
-    Holds the product and its solve. The base statistics and twin partition,
-    and the fiber, factor and special-class solves, come from the process-wide
-    memo of results on one table, so a table met again, in this pair or an
-    earlier one, is not analysed or solved again. The shared statistics and
-    partition are read here and never handed out, so no caller can change them.
+    Holds the product and its solve. The base statistics with the twin partition
+    (or the error forming it) and the fiber, factor and special-class solves come
+    from the process-wide memo of results on one table, each read a fresh copy,
+    so a table met again, in this pair or an earlier one, is not analysed or
+    solved again. One fiber is built per distinct nearness value.
     """
 
     base: FiniteMetricSpace
@@ -98,8 +94,26 @@ class _Pair:
             )
 
     @cached_property
+    def _base(self) -> tuple[tuple, tuple | str]:
+        # Field values, not the objects: unpickling a class looks up its module on every hit.
+        def analyse() -> tuple[tuple, tuple | str]:
+            stats = tuple(vars(space_stats(self.base)).values())
+            try:
+                return stats, tuple(vars(twin_classes(self.base)).values())
+            except ValueError as exc:
+                return stats, str(exc)
+
+        return _TABLES.recall((_table_key(self.base), "base"), analyse)
+
+    @cached_property
     def stats(self) -> SpaceStats:
-        return _TABLES.recall((_table_key(self.base), "stats"), lambda: space_stats(self.base))
+        return SpaceStats(*self._base[0])
+
+    @cached_property
+    def partition(self) -> TwinPartition:
+        if isinstance(self._base[1], str):
+            raise ValueError(self._base[1])
+        return TwinPartition(*self._base[1])
 
     @cached_property
     def product(self) -> ProductSpace:
@@ -111,20 +125,19 @@ class _Pair:
         return metric_dimension(self.product.space)
 
     @cached_property
-    def partition(self) -> TwinPartition:
-        key = _table_key(self.base), "partition"
-        return _TABLES.recall(key, lambda: twin_classes(self.base))
+    def fibers(self) -> dict[float, FiniteMetricSpace]:
+        """The second factor capped at twice each distinct nearness value of the base."""
+        near = self.stats.nearness_per_point.values()
+        return {t: gravitational(self.second, t) for t in set(near)}
 
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:
-        return {
-            x: _table_solve(gravitational(self.second, near))[1]
-            for x, near in self.stats.nearness_per_point.items()
-        }
+        dims = {v: _table_solve(fib)[1] for v, fib in self.fibers.items()}
+        return {x: dims[v] for x, v in self.stats.nearness_per_point.items()}
 
     @cached_property
     def special(self) -> SpecialClassSet:
-        return _special_classes(self.base, self.second, self.partition)
+        return _special_classes(self.base, self.second, self.partition, self.fibers.__getitem__)
 
     @cached_property
     def rhs(self) -> int:
@@ -140,9 +153,9 @@ class _Pair:
             "special_classes": [list(c) for c in self.special.member_classes],
             "twin_classes": [list(c) for c in self.partition.classes],
             "base_points": list(self.base.points),
-            "base_table": _table(self.base),
+            "base_table": self.base.dist.tolist(),
             "second_points": list(self.second.points),
-            "second_table": _table(self.second),
+            "second_table": self.second.dist.tolist(),
         }
         lhs, rhs = solved.dimension, self.rhs
         return VerificationReport("dimension", lhs, rhs, lhs == rhs, witnesses)
@@ -157,9 +170,9 @@ class _Pair:
             "base_slack": stats.slack,
             "second_diameter": diameter(second),
             "base_points": list(base.points),
-            "base_table": _table(base),
+            "base_table": base.dist.tolist(),
             "second_points": list(second.points),
-            "second_table": _table(second),
+            "second_table": second.dist.tolist(),
         }
         return VerificationReport("diameter", lhs, rhs, bool(abs(lhs - rhs) <= tol), witnesses)
 

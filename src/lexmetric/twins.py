@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     x) some fiber point sits at capped distance exactly L from all basis
     points. Each member is checked in full rather than one representative.
     """
-    return _special_classes(base, second, twin_classes(base))
+    return _special_classes(base, second, twin_classes(base), partial(gravitational, second))
 
 
 def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str, ...] | None:
@@ -135,9 +136,9 @@ def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str,
 
 
 def _special_classes(
-    base: FiniteMetricSpace, second: FiniteMetricSpace, partition: TwinPartition
+    base: FiniteMetricSpace, second: FiniteMetricSpace, partition: TwinPartition, fiber
 ) -> SpecialClassSet:
-    """:func:`special_classes` on a partition at hand.
+    """:func:`special_classes` on a partition at hand; ``fiber(t)`` caps ``second`` at ``2t``.
 
     A basis B has no far witness when, for every fiber point z, B meets the
     points off the gap from z. So one solve per distinct fiber and gap,
@@ -152,7 +153,7 @@ def _special_classes(
     for cls in partition.non_singleton_classes:
         gap = partition.gap[cls]
         for x in cls:
-            fib = gravitational(second, float(near[base.index(x)]))
+            fib = fiber(float(near[base.index(x)]))
             key = _table_key(fib), gap, tol
             found = _TABLES.recall(key, lambda: _failing_basis(fib, gap, tol))
             if found is not None:

@@ -575,6 +575,21 @@ def test_search_table_dies_with_its_solve():
         gc.enable()
 
 
+def test_memo_hits_are_fresh_equal_copies_of_one_computation():
+    """Two hits on one key give objects equal to what was computed, each one new."""
+    calls = []
+
+    def compute() -> dict:
+        calls.append(None)
+        return {"basis": ["a", "b"], "dimension": 2}
+
+    first = resolving_module._TABLES.recall(("table", "tag"), compute)
+    hits = [resolving_module._TABLES.recall(("table", "tag"), compute) for _ in range(2)]
+    assert hits[0] == hits[1] == first
+    assert len({id(first), *map(id, hits)}) == 3
+    assert len(calls) == 1
+
+
 def test_interleaved_components():
     """Components {0, 2, 4} and {1, 3} interleave in label order."""
     sets = [0b101, 0b10100, 0b1010]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import sys
 import threading
 
@@ -19,7 +20,7 @@ from lexmetric.construct import (
     squash,
 )
 from lexmetric.resolving import metric_dimension
-from lexmetric.space import validate
+from lexmetric.space import FiniteMetricSpace, validate
 from lexmetric.theory import (
     SizeGuardExceeded,
     connected_graph_spaces,
@@ -339,13 +340,22 @@ def memo_pairs() -> list:
 
 
 def memo_bytes_held() -> int:
-    """The footprint of every memo entry, each entry counted apart."""
+    """The size of every memo entry's key and value, each a byte string, plus its slot."""
     import lexmetric.resolving as resolving
 
+    entries = list(resolving._TABLES.items())
+    assert all(type(key) is bytes and type(value) is bytes for key, value in entries)
     return sum(
-        resolving._footprint(key) + resolving._footprint(value) + resolving._ENTRY_BYTES
-        for key, (value, _) in list(resolving._TABLES.items())
+        sys.getsizeof(key) + sys.getsizeof(value) + resolving._ENTRY_BYTES
+        for key, value in entries
     )
+
+
+def has_component_entries() -> bool:
+    """Whether the memo holds a hitting-set component: its key is a pickled list."""
+    import lexmetric.resolving as resolving
+
+    return any(type(pickle.loads(key)) is list for key in list(resolving._TABLES))
 
 
 @pytest.mark.parametrize("bound", [0, 100, 300])
@@ -397,7 +407,7 @@ def test_threads_sharing_the_memo_give_the_serial_reports(monkeypatch, bound):
     assert results == {5 * k: serial for k in range(4)}
     assert memo_bytes_held() == resolving._TABLES.nbytes
     assert bound is None or resolving._TABLES.nbytes <= bound
-    assert bound is not None or any(type(key) is frozenset for key in resolving._TABLES)
+    assert bound is not None or has_component_entries()
 
 
 def seeded_pairs(count: int) -> list:
@@ -421,7 +431,21 @@ def test_verify_all_is_the_same_on_a_warm_memo():
     for order in (range(len(pairs)), reversed(range(len(pairs)))):
         for i in order:
             assert json.dumps([r.to_json_dict() for r in verify_all(*pairs[i])]) == cold[i]
-    assert any(type(key) is frozenset for key in resolving._TABLES)
+    assert has_component_entries()
+
+
+def test_a_base_with_no_twin_partition_fails_only_the_reports_that_need_one():
+    """A tolerance chain has no twin partition: its diameter report is made and its
+    dimension report raises the partition's error, on a cold and on a warm memo."""
+    chain = FiniteMetricSpace(
+        ("a", "b", "c", "k"),
+        [[0, 1, 1, 1.0], [1, 0, 1, 1.06], [1, 1, 0, 1.12], [1.0, 1.06, 1.12, 0]],
+        tolerance=0.1,
+    )
+    for _ in range(2):
+        assert verify_diameter(chain, P4).passed is True
+        with pytest.raises(ValueError, match="'a' and 'c' are linked but not twins"):
+            verify_dimension(chain, P4)
 
 
 def test_reports_share_nothing_a_caller_can_change_with_the_memo():

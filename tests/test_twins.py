@@ -230,12 +230,11 @@ class TestSpecialClasses:
         fib = gravitational(P4, 1.0)
         family, dimension = _table_solve(fib)
         before = [list(part) for part in family]
-        assert all(type(part) is tuple for part in family)
+        for part in family:
+            part.clear()
         special = special_classes(P3, P4)
         assert special.counterexamples == {("a", "c"): ("a", ("a", "c"))}
-        again, _ = _table_solve(fib)
-        assert again is family
-        assert [list(part) for part in again] == before
+        assert _table_solve(fib) == (tuple(before), dimension)
 
     def test_fiber_past_the_enumeration_cap_is_decided(self):
         # 17 points is past the complete-enumeration cap. Every basis leaves
