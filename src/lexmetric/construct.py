@@ -268,25 +268,18 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     if not near.min() > 0:
         raise ValueError("the base space must have positive nearness")
     n_base, n_fib = first.n, second.n
-    pairs = [(x, y) for x in first.points for y in second.points]
-    labels = tuple(f"{_factor_label(x)}{PRODUCT_SEP}{_factor_label(y)}" for x, y in pairs)
-    table = np.zeros((n_base * n_fib, n_base * n_fib))
-    for i in range(n_base):
-        cap = 2.0 * float(near[i])
-        block = slice(i * n_fib, (i + 1) * n_fib)
-        table[block, block] = np.minimum(cap, second.dist)
-        for j in range(i + 1, n_base):
-            other = slice(j * n_fib, (j + 1) * n_fib)
-            table[block, other] = first.dist[i, j]
-            table[other, block] = first.dist[i, j]
-    product = FiniteMetricSpace(
-        labels,
-        table,
-        tolerance=max(first.tolerance, second.tolerance),
-        name="lexicographic product",
-    )
-    base_of = {lbl: x for lbl, (x, _) in zip(labels, pairs)}
-    fiber_of = {lbl: y for lbl, (_, y) in zip(labels, pairs)}
+    ys = [_factor_label(y) for y in second.points]
+    labels = tuple(f"{x}{PRODUCT_SEP}{y}" for x in map(_factor_label, first.points) for y in ys)
+    # Both blocks between two fibers hold the base's upper-triangle distance.
+    base = np.arange(n_base)
+    upper = np.where(np.less.outer(base, base), first.dist, first.dist.T)
+    table = np.repeat(np.repeat(upper, n_fib, axis=0), n_fib, axis=1)
+    blocks = table.reshape(n_base, n_fib, n_base, n_fib)  # fiber x's block is blocks[x, :, x, :]
+    blocks[base, :, base, :] = np.minimum(2.0 * near[:, None, None], second.dist)
+    tolerance = max(first.tolerance, second.tolerance)
+    product = FiniteMetricSpace(labels, table, tolerance, name="lexicographic product")
+    base_of = dict(zip(labels, (x for x in first.points for _ in ys)))
+    fiber_of = dict(zip(labels, second.points * n_base))
     return ProductSpace(product, first.points, second.points, base_of, fiber_of)
 
 

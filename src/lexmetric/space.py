@@ -134,6 +134,10 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     reported as (u, w, v): the two endpoints around the intermediate point.
     Violations come rule by rule in that order, symmetry and positivity
     interleaved per pair, each rule in row-major order of its indices.
+    Triangle candidates come from one min-plus pass per row block; only the
+    pairs it flags are searched for witnesses, so a valid table costs one
+    cubic reduction and the violations and their order match the per-triple
+    check exactly.
     """
     d = space.dist
     pts = space.points
@@ -150,33 +154,33 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
         out.append(Violation("zero-diagonal", (pts[i],), float(d[i, i]), 0.0))
     asymmetric = _asymmetric(space)
     close = (d <= tau) | (d.T <= tau)
-    for i, j in zip(*np.nonzero(asymmetric | close)):
-        if i >= j:
-            continue
+    i, j = np.nonzero(asymmetric | close)
+    upper = i < j
+    for i, j in zip(i[upper].tolist(), j[upper].tolist()):
+        where = (pts[i], pts[j])
         if asymmetric[i, j]:
-            out.append(Violation("symmetry", (pts[i], pts[j]), float(d[i, j]), float(d[j, i])))
+            out.append(Violation("symmetry", where, float(d[i, j]), float(d[j, i])))
         if close[i, j]:
-            out.append(
-                Violation("positivity", (pts[i], pts[j]), float(min(d[i, j], d[j, i])), 0.0)
-            )
-    # hit[i, j, k]: d[i, j] > d[i, k] + d[k, j] + tau, for rows i of one block
-    # and columns j past the block's first row; i < j and k not in {i, j}
-    # are applied to the hits alone.
+            out.append(Violation("positivity", where, float(min(d[i, j], d[j, i])), 0.0))
+    # A pair i < j can break the triangle only if d[i, j] > min_k (d[i, k] + d[k, j]) + tau:
+    # rounding is monotone and k in {i, j} only lowers the min. The witnesses k
+    # not in {i, j} of each such pair are then listed with the per-triple sums.
     for rows in _row_blocks(n, n * n):
         lo = rows.start + 1
-        through = d[rows, None, :] + d.T[None, lo:, :]
-        through += tau
-        for i, j, k in zip(*np.nonzero(d[rows, lo:, None] > through)):
-            i, j = i + rows.start, j + lo
-            if i < j and k != i and k != j:
-                out.append(
-                    Violation(
-                        "triangle",
-                        (pts[i], pts[k], pts[j]),
-                        float(d[i, j]),
-                        float(d[i, k] + d[k, j]),
-                    )
-                )
+        shortest = (d[rows, None, :] + d.T[None, lo:, :]).min(axis=2)
+        shortest += tau
+        i, j = np.nonzero(d[rows, lo:] > shortest)
+        if not i.size:
+            continue
+        i, j = i[i <= j] + rows.start, j[i <= j] + lo  # i < j in table indices
+        hit = d[i, j, None] > d[i] + d.T[j] + tau
+        each = np.arange(len(i))
+        hit[each, i] = hit[each, j] = False
+        c, k = np.nonzero(hit)
+        i, j = i[c], j[c]
+        lhs, rhs = d[i, j].tolist(), (d[i, k] + d[k, j]).tolist()
+        for u, w, v, a, b in zip(i.tolist(), k.tolist(), j.tolist(), lhs, rhs):
+            out.append(Violation("triangle", (pts[u], pts[w], pts[v]), a, b))
     return ValidationReport(ok=not out, violations=tuple(out))
 
 

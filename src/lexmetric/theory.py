@@ -116,6 +116,10 @@ class _Pair:
         return TwinPartition(*self._base[1])
 
     @cached_property
+    def second_diameter(self) -> float:
+        return diameter(self.second)
+
+    @cached_property
     def product(self) -> ProductSpace:
         return lexicographic(self.base, self.second)
 
@@ -137,7 +141,8 @@ class _Pair:
 
     @cached_property
     def special(self) -> SpecialClassSet:
-        return _special_classes(self.base, self.second, self.partition, self.fibers.__getitem__)
+        fiber = {x: self.fibers[t] for x, t in self.stats.nearness_per_point.items()}
+        return _special_classes(self.base, self.second, self.partition, fiber.__getitem__)
 
     @cached_property
     def rhs(self) -> int:
@@ -163,12 +168,12 @@ class _Pair:
     def diameter_report(self) -> VerificationReport:
         base, second, stats = self.base, self.second, self.stats
         lhs = diameter(self.product.space)
-        rhs = max(stats.diameter, min(2.0 * stats.slack, diameter(second)))
+        rhs = max(stats.diameter, min(2.0 * stats.slack, self.second_diameter))
         tol = max(base.tolerance, second.tolerance)
         witnesses = {
             "base_diameter": stats.diameter,
             "base_slack": stats.slack,
-            "second_diameter": diameter(second),
+            "second_diameter": self.second_diameter,
             "base_points": list(base.points),
             "base_table": base.dist.tolist(),
             "second_points": list(second.points),
@@ -188,7 +193,7 @@ class _Pair:
                 "corollary-twins-free", None, None, None, reason, skipped=True
             )
 
-        second_diameter, near = diameter(self.second), self.stats.nearness
+        second_diameter, near = self.second_diameter, self.stats.nearness
         if second_diameter < near:
             lhs = self.product_solve.dimension
             dim_second = _table_solve(self.second)[1]
@@ -215,6 +220,7 @@ class _Pair:
         self._guard()
         near = self.stats.nearness
         squashed = squash(near, self.second)
+        squashed_diameter = diameter(squashed)
         product = lexicographic(self.base, squashed)
         lhs = metric_dimension(product.space).dimension
         dim_second = _table_solve(self.second)[1]
@@ -225,16 +231,14 @@ class _Pair:
             "base_nearness": near,
             "second_dimension": dim_second,
             "squashed_dimension": dim_squashed,
-            "squashed_diameter": diameter(squashed),
-            "squashed_diameter_below_nearness": bool(diameter(squashed) < near),
+            "squashed_diameter": squashed_diameter,
+            "squashed_diameter_below_nearness": bool(squashed_diameter < near),
             "product_points": product.space.n,
         }
         return VerificationReport("squash", lhs, rhs, passed, witnesses)
 
 
-def fiber_dimensions(
-    base: FiniteMetricSpace, second: FiniteMetricSpace
-) -> dict[str, int]:
+def fiber_dimensions(base: FiniteMetricSpace, second: FiniteMetricSpace) -> dict[str, int]:
     """Exact dimension of each fiber: ``second`` capped per base point."""
     return _Pair(base, second).fiber_dimensions
 
@@ -257,9 +261,7 @@ def verify_dimension(
     return _Pair(base, second, max_product_points).dimension_report()
 
 
-def verify_diameter(
-    base: FiniteMetricSpace, second: FiniteMetricSpace
-) -> VerificationReport:
+def verify_diameter(base: FiniteMetricSpace, second: FiniteMetricSpace) -> VerificationReport:
     """Product diameter vs max of base diameter and the slack-capped second diameter."""
     return _Pair(base, second).diameter_report()
 

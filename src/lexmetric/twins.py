@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -126,7 +125,9 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     x) some fiber point sits at capped distance exactly L from all basis
     points. Each member is checked in full rather than one representative.
     """
-    return _special_classes(base, second, twin_classes(base), partial(gravitational, second))
+    near = dict(zip(base.points, _nearness_values(base).tolist()))
+    partition = twin_classes(base)
+    return _special_classes(base, second, partition, lambda x: gravitational(second, near[x]))
 
 
 def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str, ...] | None:
@@ -138,7 +139,7 @@ def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str,
 def _special_classes(
     base: FiniteMetricSpace, second: FiniteMetricSpace, partition: TwinPartition, fiber
 ) -> SpecialClassSet:
-    """:func:`special_classes` on a partition at hand; ``fiber(t)`` caps ``second`` at ``2t``.
+    """:func:`special_classes` on a partition at hand; ``fiber(x)`` is the fiber over ``x``.
 
     A basis B has no far witness when, for every fiber point z, B meets the
     points off the gap from z. So one solve per distinct fiber and gap,
@@ -147,13 +148,12 @@ def _special_classes(
     distinguisher sets of the fiber's plain solve; both are kept per table.
     """
     tol = max(base.tolerance, second.tolerance)
-    near = _nearness_values(base)
     members_out: list[tuple[str, ...]] = []
     counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
     for cls in partition.non_singleton_classes:
         gap = partition.gap[cls]
         for x in cls:
-            fib = fiber(float(near[base.index(x)]))
+            fib = fiber(x)
             key = _table_key(fib), gap, tol
             found = _TABLES.recall(key, lambda: _failing_basis(fib, gap, tol))
             if found is not None:

@@ -329,6 +329,45 @@ def test_lexicographic_output_is_metric(base, second):
     assert prod.space.n == base.n * second.n
 
 
+def lexicographic_table_oracle(first, second):
+    """The per-block loop the whole-array product table replaced, kept as its oracle."""
+    near = [nearness_point(first, x) for x in first.points]
+    n_base, n_fib = first.n, second.n
+    table = np.zeros((n_base * n_fib, n_base * n_fib))
+    for i in range(n_base):
+        block = slice(i * n_fib, (i + 1) * n_fib)
+        table[block, block] = np.minimum(2.0 * near[i], second.dist)
+        for j in range(i + 1, n_base):
+            other = slice(j * n_fib, (j + 1) * n_fib)
+            table[block, other] = first.dist[i, j]
+            table[other, block] = first.dist[i, j]
+    return table
+
+
+def skewed_within_tolerance(rng, n, prefix, tolerance):
+    """A random metric whose lower triangle is moved by up to the tolerance."""
+    space = random_metric_space(rng, n, prefix=prefix)
+    table = space.dist.copy()
+    table[np.tril_indices(n, -1)] += rng.uniform(-tolerance, tolerance, size=n * (n - 1) // 2)
+    return FiniteMetricSpace(space.points, table, tolerance)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 7),
+    st.integers(2, 7),
+    st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_lexicographic_table_matches_the_block_loop_oracle(seed, n_base, n_fib, tolerance):
+    rng = np.random.default_rng(seed)
+    base = skewed_within_tolerance(rng, n_base, "x", tolerance)
+    second = skewed_within_tolerance(rng, n_fib, "y", tolerance)
+    for first in (base, lexicographic(second, base).space):
+        table = lexicographic(first, second).space.dist
+        assert table.tobytes() == lexicographic_table_oracle(first, second).tobytes()
+
+
 @settings(derandomize=True, max_examples=30)
 @given(metric_spaces(max_points=6), metric_spaces(max_points=6))
 def test_fiber_matches_gravitational_second_factor(base, second):

@@ -376,16 +376,35 @@ def test_seeded_144_point_product_validates():
     assert validate(product.space).ok
 
 
-def test_validate_memory_stays_bounded_at_400_points():
-    space = line_space(list(range(400)))
+def validate_with_peak(space):
+    """``validate(space)`` and the peak memory tracemalloc saw while it ran."""
     tracemalloc.start()
     try:
         report = validate(space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_validate_memory_stays_bounded_at_400_points():
+    report, peak = validate_with_peak(line_space(list(range(400))))
     assert report.ok
     assert peak < 16 * 2**20
+
+
+def test_validate_memory_stays_bounded_on_a_broken_400_point_table():
+    # A hub at 0.5 from every point, all other points 2 apart: every pair
+    # off the hub breaks the triangle through the hub and through nothing else.
+    table = np.full((400, 400), 2.0)
+    table[0, :] = table[:, 0] = 0.5
+    np.fill_diagonal(table, 0.0)
+    report, peak = validate_with_peak(FiniteMetricSpace(tuple(f"p{i}" for i in range(400)), table))
+    assert len(report.violations) == 399 * 398 // 2 == 79_401
+    assert report.violations[0] == Violation("triangle", ("p1", "p0", "p2"), 2.0, 1.0)
+    assert report.violations[-1] == Violation("triangle", ("p398", "p0", "p399"), 2.0, 1.0)
+    # The report itself holds about 15 MB; the pass adds a few row blocks.
+    assert peak < 18 * 2**20
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
