@@ -16,12 +16,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .construct import graph_metric, gravitational, lexicographic, load_graph, squash
 from .resolving import DEFAULT_ENUMERATION_CAP, greedy_generator, metric_dimension
-from .space import FiniteMetricSpace, _require_finite, load_space, space_stats, space_to_json, validate
+from .space import (
+    FiniteMetricSpace,
+    _require_finite,
+    json_text,
+    load_space,
+    space_stats,
+    space_to_json,
+    validate,
+)
 from .theory import (
     DEFAULT_PRODUCT_CAP,
     random_pairs,
@@ -32,10 +39,6 @@ from .theory import (
     verify_squash,
 )
 from .twins import special_classes, twin_classes
-
-
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _fmt(value: float) -> str:
@@ -110,7 +113,7 @@ def cmd_stats(args, space):
 def cmd_graph(args, space):
     # The metric JSON is this command's text output as well.
     doc = space_to_json(space)
-    return doc, [_dump(doc)], True
+    return doc, [json_text(doc)], True
 
 
 def cmd_gravitate(args, space):
@@ -320,7 +323,7 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    print(_dump(doc) if args.json else "\n".join(text))
+    print(json_text(doc) if args.json else "\n".join(text))
     return 0 if ok else 1
 
 

@@ -8,9 +8,10 @@ extraction of product fibers.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -222,15 +223,24 @@ def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
 class ProductSpace:
     """A lexicographic product together with its point provenance.
 
-    ``space`` carries the product metric on labels "base|fiber"; ``base_of``
-    and ``fiber_of`` map each product label back to its two components.
+    ``space`` carries the product metric on labels "base|fiber", base-major:
+    the label at ``i * len(fiber_points) + j`` pairs ``base_points[i]`` with
+    ``fiber_points[j]``. ``base_of`` and ``fiber_of`` map each product label
+    back to its two components; each is built on first use.
     """
 
     space: FiniteMetricSpace
     base_points: tuple[str, ...]
     fiber_points: tuple[str, ...]
-    base_of: Mapping[str, str]
-    fiber_of: Mapping[str, str]
+
+    @functools.cached_property
+    def base_of(self) -> dict[str, str]:
+        bases = (x for x in self.base_points for _ in self.fiber_points)
+        return dict(zip(self.space.points, bases))
+
+    @functools.cached_property
+    def fiber_of(self) -> dict[str, str]:
+        return dict(zip(self.space.points, self.fiber_points * len(self.base_points)))
 
 
 def _require_symmetric(space: FiniteMetricSpace, role: str) -> None:
@@ -278,9 +288,7 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     blocks[base, :, base, :] = np.minimum(2.0 * near[:, None, None], second.dist)
     tolerance = max(first.tolerance, second.tolerance)
     product = FiniteMetricSpace(labels, table, tolerance, name="lexicographic product")
-    base_of = dict(zip(labels, (x for x in first.points for _ in ys)))
-    fiber_of = dict(zip(labels, second.points * n_base))
-    return ProductSpace(product, first.points, second.points, base_of, fiber_of)
+    return ProductSpace(product, first.points, second.points)
 
 
 def fiber(product: ProductSpace, x: str) -> FiniteMetricSpace:

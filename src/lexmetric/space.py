@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -255,6 +256,41 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
     }
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, byte for byte.
+
+    One call per value. ``indent`` is the newline and indentation that close
+    the value's container; its items sit two spaces further in, one to a line.
+    NaN and the infinities are spelled NaN, Infinity and -Infinity, Python's
+    extension to JSON. Any type the stdlib would not write, and any dict key
+    that is not a string, raises TypeError.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, float):
+        if value - value == 0:
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [json_text(item, inner) for item in value]
+    elif isinstance(value, dict):
+        # _quote raises TypeError on a key that is not a string.
+        brackets = "{}"
+        items = [f"{_quote(k)}: {json_text(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
     """Build a space from the dict form; "tolerance" is optional."""
     if not isinstance(obj, dict):
@@ -284,6 +320,5 @@ def load_space(path: str) -> FiniteMetricSpace:
 
 def save_space(space: FiniteMetricSpace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_json(space), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(space_to_json(space)) + "\n")
 

@@ -339,8 +339,10 @@ GOLDEN = [
     ("validate-nonmetric-json", "validate nonmetric.json --json", 1),
     ("validate-broken", "validate broken.json", 1),
     ("validate-broken-json", "validate broken.json --json", 1),
+    ("validate-nonfinite-json", "validate nonfinite.json --json", 1),
     ("stats-w3", "stats w3.json", 0),
     ("stats-w3-json", "stats w3.json --json", 0),
+    ("stats-labels-json", "stats labels.json --json", 0),
     ("stats-c5", "stats c5.edges", 0),
     ("stats-p4-tolerance", "stats p4.edges --tolerance 0.5", 0),
     ("graph-p4", "graph p4.edges", 0),
@@ -381,6 +383,7 @@ GOLDEN = [
     ("error-bad-edges", "dim bad.edges", 2),
     ("error-graph-reads-edges", "graph k2.json", 2),
     ("error-size-guard", "verify k4.edges c5.edges --max-product-points 10", 2),
+    ("error-corpus-count-negative", "corpus --seed 1 --count -3", 2),
     ("error-enumeration-cap", "dim c5.edges --all-bases --max-enumeration-points 4", 2),
     ("error-eta-inf", "squash p4.edges --eta inf", 2),
     ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),

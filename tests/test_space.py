@@ -20,6 +20,7 @@ from lexmetric.space import (
     ValidationReport,
     ball,
     diameter,
+    json_text,
     load_space,
     nearness,
     nearness_point,
@@ -223,6 +224,55 @@ class TestJsonFormat:
 
     def test_dict_form_is_json_serializable(self):
         json.dumps(space_to_json(p3()))
+
+    def test_save_writes_the_indented_sorted_document(self, tmp_path):
+        table = [[0, 0.1, 2], [0.1, 0, 1 / 3], [2, 1 / 3, 0]]
+        s = FiniteMetricSpace(("é", "a\"b", "c\\d"), table)
+        path = tmp_path / "s.json"
+        save_space(s, str(path))
+        expected = json.dumps(space_to_json(s), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+        text = path.read_text()
+        assert text.startswith('{\n  "d": [\n    [\n      0.0,\n      0.1,\n      2.0\n    ],')
+        points = '  "points": [\n    "\\u00e9",\n    "a\\"b",\n    "c\\\\d"\n  ],\n'
+        assert text.endswith(points + '  "tolerance": 1e-09\n}\n')
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a"}, {None: 1}, {"a": {2.5: 1}}, {"a": 1, 3: 2}, {1, 2}, np.int64(3), b"x", object()],
+        ids=["int-key", "none-key", "nested-key", "mixed-keys", "set", "numpy-int", "bytes", "object"],
+    )
+    def test_writer_rejects_what_it_cannot_write(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
+_AWKWARD_CHARS = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600"]
+)
+_JSON_STRINGS = st.text(st.characters() | _AWKWARD_CHARS, max_size=8)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 3**90])
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e308, -1e308])
+    | _JSON_STRINGS
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_writer_matches_the_stdlib_indent_encoder(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def closure_space(draws: list[list[float]]) -> FiniteMetricSpace:

@@ -203,6 +203,11 @@ class TestCorpusGenerators:
         with pytest.raises(ValueError, match="at least 4"):
             random_pairs(1, 3, 3)
 
+    def test_random_pairs_reject_a_negative_count(self):
+        with pytest.raises(ValueError, match="count of at least 0, got -3"):
+            random_pairs(1, -3)
+        assert random_pairs(1, 0) == []
+
 
 def small_corpus():
     bases = connected_graph_spaces(2, 3, prefix="x")
