@@ -124,17 +124,20 @@ def _separator_words(space: FiniteMetricSpace) -> tuple[list[str], np.ndarray]:
 
     Row ``p`` is pair ``p``'s set as :func:`_packed_words`, bit ``k`` set when the
     ``k``-th point in label order tells the pair apart; an indistinguishable pair's row
-    is zero. Blocks of pairs keep memory linear in the pairs; each block's differences
-    are taken in place, as a fresh array per step costs about as much as the arithmetic.
+    is zero. Blocks of pairs keep memory linear; each is gathered by ``take``, differenced in
+    place and compared into a zeroed block of whole words. A label-ordered table is not copied.
     """
-    order = sorted(range(space.n), key=space.points.__getitem__)
-    d = space.dist.take(order, 0).take(order, 1)
-    first, second = _pair_index(space.n)
-    words = np.empty((len(first), -(-space.n // 64)), dtype="<u8")
-    for rows in _row_blocks(len(first), space.n):
-        diff = d[first[rows]]
-        diff -= d[second[rows]]
-        words[rows] = _packed_words(np.abs(diff, out=diff) > space.tolerance)
+    n = space.n
+    order = sorted(range(n), key=space.points.__getitem__)
+    d = space.dist if order == list(range(n)) else space.dist.take(order, 0).take(order, 1)
+    first, second = _pair_index(n)
+    words = np.empty((len(first), -(-n // 64)), dtype="<u8")
+    for rows in _row_blocks(len(first), n):
+        diff = d.take(first[rows], 0)
+        diff -= d.take(second[rows], 0)
+        apart = np.zeros((len(diff), words.shape[1] * 64), dtype=bool)
+        np.greater(np.abs(diff, out=diff), space.tolerance, out=apart[:, :n])
+        words[rows] = _packed_words(apart)
     return [space.points[i] for i in order], words
 
 
@@ -154,11 +157,10 @@ def _distinguisher_sets(space: FiniteMetricSpace) -> tuple[list[str], list[int]]
 
 
 def _packed_words(table: np.ndarray) -> np.ndarray:
-    """Each row of a boolean table as little-endian 64-bit words, column ``k`` at bit ``k``."""
-    packed = np.packbits(table, axis=1, bitorder="little")
-    words = np.zeros((len(packed), -(-table.shape[1] // 64) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view("<u8")
+    """Each boolean row as zero-padded little-endian 64-bit words, column ``k`` at bit ``k``."""
+    if table.shape[1] % 64:
+        table = np.concatenate((table, np.zeros((len(table), -table.shape[1] % 64), bool)), 1)
+    return np.packbits(table, axis=1, bitorder="little").view("<u8")
 
 
 def _word_masks(words: np.ndarray) -> list[int]:
@@ -338,19 +340,20 @@ def _lex_least_hitting_set(sets: list[int], size: int, memo: _Memo) -> list[int]
 
 
 def _minimal_masks(sets: list[int]) -> list[int]:
-    """The distinct sets that contain no other set.
+    """The distinct sets that contain no other set, by size, then value.
 
     A candidate set hits a superset whenever it hits the subset, so dropping
     duplicates and supersets leaves the hitting sets exactly the same
-    (Weihe 1998). Sorting by size puts every subset before its supersets,
-    so the smallest set left is always minimal; its copies go with them.
+    (Weihe 1998). In (size, value) order a set's subsets and copies come first, so
+    it is kept unless a kept set lies in it; the scan stops at the first that does.
     """
-    masks = sorted(sorted(sets), key=int.bit_count)
     minimal: list[int] = []
-    while masks:
-        least = masks[0]
-        minimal.append(least)
-        masks = [m for m in masks[1:] if least & m != least]
+    for m in sorted(sorted(sets), key=int.bit_count):
+        for least in minimal:
+            if least & m == least:
+                break
+        else:
+            minimal.append(m)
     return minimal
 
 
@@ -407,13 +410,18 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
 def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
     """Label-sorted points and the minimal distinguisher sets of a finite table.
 
-    Duplicates are dropped on the words by one sort, so only distinct sets become ints.
+    Rows are sorted (a 1-D sort for one word) and deduplicated before any int; zero sorts first.
     """
     labels, words = _separator_words(space)
-    _require_distinguishable(labels, ~words.any(axis=1))
-    rows = np.sort(words, axis=0) if words.shape[1] == 1 else words[np.lexsort(words.T)]
-    fresh = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-    return labels, _minimal_masks(_word_masks(rows[fresh]))
+    if words.shape[1] == 1:
+        rows = np.sort(words, axis=None)
+        masks = rows[np.concatenate(([True], rows[1:] != rows[:-1]))].tolist()
+    else:
+        rows = words[np.lexsort(words.T)]
+        masks = _word_masks(rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))])
+    if not masks[0]:
+        _require_distinguishable(labels, ~words.any(axis=1))
+    return labels, _minimal_masks(masks)
 
 
 def _least_basis(

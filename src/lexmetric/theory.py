@@ -404,8 +404,10 @@ def random_pairs(
     """Seeded random weighted pairs whose products stay inside the size guard.
 
     Each factor has 2 to 6 points, so the guard must allow at least 2x2.
-    A negative ``count`` raises ValueError; zero gives no pairs.
+    A negative ``seed`` or ``count`` raises ValueError; zero gives no pairs.
     """
+    if seed < 0:
+        raise ValueError(f"random pairs need a seed of at least 0, got {seed}")
     if count < 0:
         raise ValueError(f"random pairs need a count of at least 0, got {count}")
     if max_product_points < 4:

@@ -359,6 +359,7 @@ GOLDEN = [
     ("dim-c5-json", "dim c5.edges --greedy --all-bases --json", 0),
     ("dim-k4-json", "dim k4.edges --all-bases --json", 0),
     ("dim-w3-format", "dim w3.json --format json --greedy", 0),
+    ("dim-grid-8x9-json", "dim grid-8x9.edges --greedy --json", 0),
     ("twins-k2", "twins k2.json", 0),
     ("twins-k2-json", "twins k2.json --json", 0),
     ("twins-k4", "twins k4.edges", 0),
@@ -384,6 +385,7 @@ GOLDEN = [
     ("error-graph-reads-edges", "graph k2.json", 2),
     ("error-size-guard", "verify k4.edges c5.edges --max-product-points 10", 2),
     ("error-corpus-count-negative", "corpus --seed 1 --count -3", 2),
+    ("error-corpus-seed-negative", "corpus --seed -1", 2),
     ("error-enumeration-cap", "dim c5.edges --all-bases --max-enumeration-points 4", 2),
     ("error-eta-inf", "squash p4.edges --eta inf", 2),
     ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),

@@ -827,6 +827,52 @@ def test_minimal_family_matches_the_per_pair_route(space, budget):
             assert _minimal_family(space) == per_pair_family(space)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(near_tie_spaces(), BLOCK_BUDGETS)
+def test_distinguisher_sets_match_the_per_pair_oracle_on_near_ties(space, budget):
+    """The packed kernel against one pair at a time, in any blocks, widths 2-129."""
+    with row_blocks_of(budget):
+        labels, masks = _distinguisher_sets(space)
+    assert labels == sorted(space.points)
+    assert masks == distinguisher_sets_oracle(space)
+
+
+@pytest.mark.parametrize("budget", [1, 100, 200, space_module._BLOCK_ENTRIES])
+@pytest.mark.parametrize("n", [63, 65, 129])
+def test_separator_words_hold_no_bit_past_the_last_point(n, budget):
+    """The padding of each row's last word stays zero, in every block."""
+    space = random_metric_space(np.random.default_rng(n), n)
+    with row_blocks_of(budget):
+        _, words = resolving_module._separator_words(space)
+    assert words.shape == (n * (n - 1) // 2, -(-n // 64))
+    masks = word_masks_oracle(words)
+    assert all(m >> n == 0 for m in masks)
+    assert reduce(or_, masks) == (1 << n) - 1
+
+
+def minimal_masks_oracle(sets: list[int]) -> list[int]:
+    """The distinct sets with no other set inside, by size, then value, from the definition."""
+    distinct = set(sets)
+    minimal = [m for m in distinct if not any(o != m and o & m == o for o in distinct)]
+    return sorted(minimal, key=lambda m: (m.bit_count(), m))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0, 1, 2, 5, 62, 63, 64, 65, 100, 128, 129]), max_size=5),
+        min_size=1,
+        max_size=12,
+    ),
+    st.data(),
+)
+def test_minimal_masks_match_the_definition(pool, data):
+    """Families with copies, in any order, over positions on both sides of 64 and 128."""
+    masks = [sum({1 << k for k in positions}) for positions in pool]
+    sets = data.draw(st.lists(st.sampled_from(masks), max_size=40))
+    assert _minimal_masks(sets) == minimal_masks_oracle(sets)
+
+
 def test_distinguisher_sets_memory_stays_linear_in_the_pairs():
     """256 points: one n**3 float array would take 128 MB."""
     rng = np.random.default_rng(256)

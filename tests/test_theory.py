@@ -208,6 +208,11 @@ class TestCorpusGenerators:
             random_pairs(1, -3)
         assert random_pairs(1, 0) == []
 
+    def test_random_pairs_reject_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed of at least 0, got -1"):
+            random_pairs(-1, 3)
+        assert len(random_pairs(0, 3)) == 3
+
 
 def small_corpus():
     bases = connected_graph_spaces(2, 3, prefix="x")
