@@ -255,6 +255,18 @@ def _require_symmetric(space: FiniteMetricSpace, role: str) -> None:
         )
 
 
+def _require_factors(first: FiniteMetricSpace, second: FiniteMetricSpace) -> np.ndarray:
+    """The base's per-point nearness; raise unless both factors are fit to form a product."""
+    _require_finite(first)
+    _require_finite(second)
+    _require_symmetric(first, "base")
+    _require_symmetric(second, "second factor")
+    near = _nearness_values(first)
+    if not near.min() > 0:
+        raise ValueError("the base space must have positive nearness")
+    return near
+
+
 def _factor_label(label: str) -> str:
     """A factor's point label inside a product label: parenthesized if it holds the separator."""
     return f"({label})" if PRODUCT_SEP in label else label
@@ -270,13 +282,7 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     nearness caps each fiber differently. Both factors must be symmetric at their
     tolerance, since each base distance fills the two blocks between its fibers.
     """
-    _require_finite(first)
-    _require_finite(second)
-    _require_symmetric(first, "base")
-    _require_symmetric(second, "second factor")
-    near = _nearness_values(first)
-    if not near.min() > 0:
-        raise ValueError("the base space must have positive nearness")
+    near = _require_factors(first, second)
     n_base, n_fib = first.n, second.n
     ys = [_factor_label(y) for y in second.points]
     labels = tuple(f"{x}{PRODUCT_SEP}{y}" for x in map(_factor_label, first.points) for y in ys)

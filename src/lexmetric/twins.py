@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import gravitational
+from .construct import _require_factors, gravitational
 from .resolving import _TABLES, _least_basis, _table_solve
 from .resolving import metric_dimension  # noqa: F401 -- re-exported; perfbench traces it here
 from .space import FiniteMetricSpace, _nearness_values, _require_finite, _row_blocks, _table_key
@@ -124,8 +124,9 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     basis of that member's fiber (``second`` capped at twice the nearness of
     x) some fiber point sits at capped distance exactly L from all basis
     points. Each member is checked in full rather than one representative.
+    Raises ValueError on a pair of factors that :func:`lexicographic` rejects.
     """
-    near = dict(zip(base.points, _nearness_values(base).tolist()))
+    near = dict(zip(base.points, _require_factors(base, second).tolist()))
     partition = twin_classes(base)
     return _special_classes(base, second, partition, lambda x: gravitational(second, near[x]))
 

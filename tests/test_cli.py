@@ -393,6 +393,8 @@ GOLDEN = [
     ("error-unknown-command", "frobnicate", 2),
     ("error-no-arguments", "", 2),
     ("error-gravitate-needs-t", "gravitate p4.edges", 2),
+    ("error-special-nonmetric-k2", "special nonmetric.json k2.json", 2),
+    ("error-special-k2-nonmetric", "special k2.json nonmetric.json", 2),
 ]
 
 

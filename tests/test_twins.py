@@ -270,6 +270,18 @@ class TestSpecialClasses:
             for cls, (member, _) in special.counterexamples.items():
                 assert member == cls[0]
 
+    @pytest.mark.parametrize("position", ["base", "second factor"])
+    def test_rejects_asymmetric_factor_naming_the_pair(self, position):
+        # The checks and message of lexicographic, so `special` and `verify` refuse alike.
+        skew = FiniteMetricSpace(("c", "a", "b"), [[0, 3, 2], [1, 0, 2], [2, 4, 0]])
+        factors = (skew, K2) if position == "base" else (K2, skew)
+        with pytest.raises(ValueError) as raised:
+            special_classes(*factors)
+        assert str(raised.value) == (
+            f"the {position} is not symmetric at tolerance: "
+            "d('a', 'b') = 2.0 but d('b', 'a') = 4.0"
+        )
+
 
 def enumeration_oracle(base, second):
     """Special classes from the definition, over the complete list of fiber bases.
