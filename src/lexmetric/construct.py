@@ -15,13 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .space import (
-    DEFAULT_TOLERANCE,
-    FiniteMetricSpace,
-    _asymmetric,
-    _nearness_values,
-    _require_finite,
-)
+from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, _require_finite, _trusted_space
 
 PRODUCT_SEP = "|"
 
@@ -202,7 +196,7 @@ def gravitational(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     if not 0 < t < np.inf:
         raise ValueError("the gravitation constant t must be positive and finite")
     capped = np.minimum(space.dist, 2.0 * t)
-    return FiniteMetricSpace(space.points, capped, space.tolerance, name=space.name)
+    return _trusted_space(space.points, space._index, capped, space.tolerance, space.name)
 
 
 def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -216,7 +210,7 @@ def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
         raise ValueError("eta must be positive and finite")
     d = space.dist
     squashed = eta * d / (eta + d)
-    return FiniteMetricSpace(space.points, squashed, space.tolerance, name=space.name)
+    return _trusted_space(space.points, space._index, squashed, space.tolerance, space.name)
 
 
 @dataclass(frozen=True)
@@ -245,10 +239,9 @@ class ProductSpace:
 
 def _require_symmetric(space: FiniteMetricSpace, role: str) -> None:
     """Raise on the first pair, in label order, whose two distances differ past the tolerance."""
-    asymmetric = _asymmetric(space)
-    if asymmetric.any():
-        pairs = zip(*np.nonzero(asymmetric))
-        u, v = min(sorted((space.points[i], space.points[j])) for i, j in pairs)
+    pair = space._asymmetric_pair
+    if pair is not None:
+        u, v = pair
         raise ValueError(
             f"the {role} is not symmetric at tolerance: "
             f"d({u!r}, {v!r}) = {space.d(u, v)} but d({v!r}, {u!r}) = {space.d(v, u)}"
@@ -261,7 +254,7 @@ def _require_factors(first: FiniteMetricSpace, second: FiniteMetricSpace) -> np.
     _require_finite(second)
     _require_symmetric(first, "base")
     _require_symmetric(second, "second factor")
-    near = _nearness_values(first)
+    near = first._nearness
     if not near.min() > 0:
         raise ValueError("the base space must have positive nearness")
     return near
@@ -270,6 +263,23 @@ def _require_factors(first: FiniteMetricSpace, second: FiniteMetricSpace) -> np.
 def _factor_label(label: str) -> str:
     """A factor's point label inside a product label: parenthesized if it holds the separator."""
     return f"({label})" if PRODUCT_SEP in label else label
+
+
+@functools.lru_cache(maxsize=64)
+def _product_labels(
+    first: tuple[str, ...], second: tuple[str, ...]
+) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The product's labels, base-major, and their index; shared by every product of the two.
+
+    Raises as the constructor does when two pairs meet in one label, as ``"(a"`` with
+    ``"b)|c"`` and ``"a|(b"`` with ``"c)"`` do.
+    """
+    ys = [_factor_label(y) for y in second]
+    labels = tuple(f"{x}{PRODUCT_SEP}{y}" for x in map(_factor_label, first) for y in ys)
+    index = {p: i for i, p in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("duplicate point labels")
+    return labels, index
 
 
 def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> ProductSpace:
@@ -284,16 +294,17 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     """
     near = _require_factors(first, second)
     n_base, n_fib = first.n, second.n
-    ys = [_factor_label(y) for y in second.points]
-    labels = tuple(f"{x}{PRODUCT_SEP}{y}" for x in map(_factor_label, first.points) for y in ys)
+    labels, index = _product_labels(first.points, second.points)
     # Both blocks between two fibers hold the base's upper-triangle distance.
     base = np.arange(n_base)
     upper = np.where(np.less.outer(base, base), first.dist, first.dist.T)
-    table = np.repeat(np.repeat(upper, n_fib, axis=0), n_fib, axis=1)
+    table = np.empty((n_base * n_fib, n_base * n_fib))
     blocks = table.reshape(n_base, n_fib, n_base, n_fib)  # fiber x's block is blocks[x, :, x, :]
+    blocks[...] = upper[:, None, :, None]
     blocks[base, :, base, :] = np.minimum(2.0 * near[:, None, None], second.dist)
     tolerance = max(first.tolerance, second.tolerance)
-    product = FiniteMetricSpace(labels, table, tolerance, name="lexicographic product")
+    # Both factors are finite, so every entry is.
+    product = _trusted_space(labels, index, table, tolerance, "lexicographic product", _finite=True)
     return ProductSpace(product, first.points, second.points)
 
 

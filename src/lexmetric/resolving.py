@@ -45,8 +45,9 @@ class SolveStats:
     ``memo_hits`` count the branching nodes searched and those answered from
     a component's table, and ``prunes`` the searches cut by the packing
     bound; all three are summed over components. ``reused`` counts the
-    components answered from the process-wide memo, with no search. The four
-    counters take no part in equality.
+    components answered from the process-wide memo, with no search; when the
+    whole reduced family was met before, every component counts as reused and
+    the other three counters are 0. The four counters take no part in equality.
     """
 
     raw_sets: int
@@ -439,7 +440,10 @@ def _least_basis(
     ``budget`` points. With no rows and a budget of ``space.n`` this is the
     least metric basis, solved as :func:`metric_dimension` describes. With
     ``enumerate_all`` every such set of the least size is listed as well,
-    from the same minimal sets.
+    from the same minimal sets. The reduced family, ``must_hit`` rows merged
+    in, is looked up whole in the process-wide memo first: a family met
+    before, in any space, is answered in one lookup, with no split into
+    components, and a new one is stored once all its components are solved.
     """
     labels, minimal = family
     if len(must_hit):
@@ -448,17 +452,26 @@ def _least_basis(
             return None
         # Every pair's set contains one of the family's, so these reduce alike.
         minimal = _minimal_masks([*minimal, *extra])
-    components = _components(minimal)
-    witness: list[int] = []
-    nodes = hits = prunes = reused = 0
-    for masks in components:
-        part, memo = _solve_component(masks, budget - len(witness))
-        if part is None:
+    # The tag keeps a family's key apart from every component's.
+    key = pickle.dumps((minimal, "family"))
+    held = _TABLES.get(key)
+    nodes = hits = prunes = 0
+    if held is not None:
+        witness, components = pickle.loads(held)
+        reused = components
+        if len(witness) > budget:
             return None
-        witness += part
-        nodes, hits, prunes = nodes + memo.nodes, hits + memo.hits, prunes + memo.prunes
-        reused += memo.reused
-    basis = tuple(labels[i] for i in sorted(witness))
+    else:
+        witness, reused, parts = [], 0, _components(minimal)
+        for masks in parts:
+            part, memo = _solve_component(masks, budget - len(witness))
+            if part is None:
+                return None
+            witness += part
+            nodes, hits, prunes = nodes + memo.nodes, hits + memo.hits, prunes + memo.prunes
+            reused += memo.reused
+        witness, components = _TABLES.store(key, (sorted(witness), len(parts)))
+    basis = tuple(labels[i] for i in witness)
     all_bases = None
     if enumerate_all:
         all_bases = tuple(
@@ -467,7 +480,7 @@ def _least_basis(
             if all(sum(1 << i for i in combo) & m for m in minimal)
         )
     raw_sets = space.n * (space.n - 1) // 2 + len(must_hit)
-    stats = SolveStats(raw_sets, len(minimal), len(components), nodes, hits, prunes, reused)
+    stats = SolveStats(raw_sets, len(minimal), components, nodes, hits, prunes, reused)
     return ResolveResult(len(basis), basis, all_bases, stats)
 
 
@@ -479,8 +492,10 @@ def _charge(key: bytes, value: bytes) -> int:
 class _TableMemo(dict):
     """Pickled results under pickled keys, dropped oldest first past ``_MEMO_BYTES``.
 
-    A key is a table's :func:`~lexmetric.space._table_key` with a tag, or a hitting-set
-    component's sorted, shifted sets; both are canonical. An equal key that pickles
+    A key is a table's :func:`~lexmetric.space._table_key` with a tag, a reduced family's
+    sets in (size, value) order with the tag ``"family"`` (its value: the least hitting
+    set's positions and the component count), or a hitting-set component's sorted,
+    shifted sets; all three are canonical. An equal key that pickles
     otherwise (a label that is the tag's own ``str`` object, say) can only miss, never
     hit wrongly, as pickle round-trips. Each hit is a fresh copy, so no caller can change
     what is held. Each entry is charged :func:`_charge`, worked out again when dropped.
@@ -526,6 +541,11 @@ def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]],
         return family, _least_basis(space, family, np.zeros((0, space.n), bool), space.n).dimension
 
     return _TABLES.recall((_table_key(space), "solve"), solve)
+
+
+def _table_dimension(space: FiniteMetricSpace) -> int:
+    """A space's metric dimension, once per table; a hit loads the int alone, not the family."""
+    return _TABLES.recall((_table_key(space), "dimension"), lambda: _table_solve(space)[1])
 
 
 def metric_dimension(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, NamedTuple
 
@@ -35,6 +36,9 @@ class FiniteMetricSpace:
     Instances are immutable: the table is stored read-only and every
     operation on spaces is a pure function, safe for concurrent use.
     ``name`` is a free-form provenance note and carries no semantics.
+    The table's finiteness, its first asymmetric pair in label order and every
+    point's nearness are worked out on first use and kept with the object, as
+    the table cannot change; a failed check raises the same error every time.
     """
 
     points: tuple[str, ...]
@@ -83,10 +87,47 @@ class FiniteMetricSpace:
         tag = f", name={self.name!r}" if self.name else ""
         return f"FiniteMetricSpace(n={self.n}, points={list(self.points)!r}{tag})"
 
+    @cached_property
+    def _finite(self) -> bool:
+        return bool(np.isfinite(self.dist).all())
+
+    @cached_property
+    def _asymmetric_pair(self) -> list[str] | None:
+        """The first pair in label order whose two distances differ past the tolerance."""
+        pairs = zip(*np.nonzero(_asymmetric(self)))
+        return min((sorted((self.points[i], self.points[j])) for i, j in pairs), default=None)
+
+    @cached_property
+    def _nearness(self) -> np.ndarray:
+        """Every point's nearness, in point order, read-only: one row minimum, diagonal masked."""
+        off_diagonal = self.dist.copy()
+        np.fill_diagonal(off_diagonal, np.inf)
+        values = off_diagonal.min(axis=1)
+        values.flags.writeable = False
+        return values
+
+
+def _trusted_space(
+    points: tuple[str, ...], index: dict[str, int], dist: np.ndarray, tolerance: float,
+    name: str, **known,
+) -> FiniteMetricSpace:
+    """A space from parts already checked, without the constructor's checks and copy.
+
+    ``index`` maps each label to its position and is shared, never changed;
+    ``dist`` is a new float table of the right shape, made read-only and kept as is.
+    ``known`` presets kept facts the caller has shown, such as ``_finite=True``.
+    """
+    space = object.__new__(FiniteMetricSpace)
+    dist.flags.writeable = False
+    vars(space).update(
+        points=points, dist=dist, tolerance=tolerance, name=name, _index=index, **known
+    )
+    return space
+
 
 def _require_finite(space: FiniteMetricSpace) -> None:
     """Raise on a NaN or infinite entry: no statistic or solve means anything there."""
-    if not np.isfinite(space.dist).all():
+    if not space._finite:
         raise ValueError("distance table has non-finite entries")
 
 
@@ -185,28 +226,21 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     return ValidationReport(ok=not out, violations=tuple(out))
 
 
-def _nearness_values(space: FiniteMetricSpace) -> np.ndarray:
-    """Every point's nearness, in point order: one row minimum, diagonal masked."""
-    off_diagonal = space.dist.copy()
-    np.fill_diagonal(off_diagonal, np.inf)
-    return off_diagonal.min(axis=1)
-
-
 def nearness_point(space: FiniteMetricSpace, x: str) -> float:
     """Distance from ``x`` to its closest other point; positive in a valid space."""
-    return float(_nearness_values(space)[space.index(x)])
+    return float(space._nearness[space.index(x)])
 
 
 def nearness(space: FiniteMetricSpace) -> float:
     """Smallest per-point nearness, i.e. the minimum pairwise distance."""
     _require_finite(space)
-    return float(_nearness_values(space).min())
+    return float(space._nearness.min())
 
 
 def slack(space: FiniteMetricSpace) -> float:
     """Largest per-point nearness."""
     _require_finite(space)
-    return float(_nearness_values(space).max())
+    return float(space._nearness.max())
 
 
 def diameter(space: FiniteMetricSpace) -> float:
@@ -226,7 +260,7 @@ class SpaceStats:
 
 def space_stats(space: FiniteMetricSpace) -> SpaceStats:
     _require_finite(space)
-    values = _nearness_values(space)
+    values = space._nearness
     return SpaceStats(
         nearness_per_point=dict(zip(space.points, values.tolist())),
         nearness=float(values.min()),

@@ -23,7 +23,7 @@ from .construct import (
     lexicographic,
     squash,
 )
-from .resolving import _TABLES, ResolveResult, _table_solve, metric_dimension
+from .resolving import _TABLES, ResolveResult, _table_dimension, metric_dimension
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
@@ -136,7 +136,7 @@ class _Pair:
 
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:
-        dims = {v: _table_solve(fib)[1] for v, fib in self.fibers.items()}
+        dims = {v: _table_dimension(fib) for v, fib in self.fibers.items()}
         return {x: dims[v] for x, v in self.stats.nearness_per_point.items()}
 
     @cached_property
@@ -196,7 +196,7 @@ class _Pair:
         second_diameter, near = self.second_diameter, self.stats.nearness
         if second_diameter < near:
             lhs = self.product_solve.dimension
-            dim_second = _table_solve(self.second)[1]
+            dim_second = _table_dimension(self.second)
             rhs = self.base.n * dim_second
             witnesses = {
                 "second_dimension": dim_second,
@@ -223,8 +223,8 @@ class _Pair:
         squashed_diameter = diameter(squashed)
         product = lexicographic(self.base, squashed)
         lhs = metric_dimension(product.space).dimension
-        dim_second = _table_solve(self.second)[1]
-        dim_squashed = _table_solve(squashed)[1]
+        dim_second = _table_dimension(self.second)
+        dim_squashed = _table_dimension(squashed)
         rhs = self.base.n * dim_second
         passed = lhs == rhs and lhs == self.base.n * dim_squashed
         witnesses = {

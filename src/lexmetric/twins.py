@@ -17,7 +17,7 @@ import numpy as np
 from .construct import _require_factors, gravitational
 from .resolving import _TABLES, _least_basis, _table_solve
 from .resolving import metric_dimension  # noqa: F401 -- re-exported; perfbench traces it here
-from .space import FiniteMetricSpace, _nearness_values, _require_finite, _row_blocks, _table_key
+from .space import FiniteMetricSpace, _require_finite, _row_blocks, _table_key
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
     classes = tuple(sorted(tuple(sorted(members)) for members in groups.values()))
     gap: dict[tuple[str, ...], float] = {}
     class_nearness: dict[tuple[str, ...], float] = {}
-    values = _nearness_values(space)
+    values = space._nearness
     for cls in classes:
         if len(cls) == 1:
             continue

@@ -2,11 +2,13 @@
 
 import pytest
 
-from lexmetric import resolving
+from lexmetric import construct, resolving
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Empty the per-table memo and the pair-index cache, so no test sees another's entries."""
+    """Empty the per-table memo, the pair-index cache and the product-label cache, so no
+    test sees another's entries."""
     resolving._TABLES.clear()
     resolving._pair_index.cache_clear()
+    construct._product_labels.cache_clear()

@@ -26,8 +26,10 @@ from lexmetric.construct import (
     path_graph,
     squash,
 )
-from lexmetric.space import FiniteMetricSpace, diameter, nearness_point, validate
-from lexmetric.theory import random_metric_space
+from lexmetric.resolving import metric_dimension
+from lexmetric.space import FiniteMetricSpace, diameter, nearness_point, space_stats, validate
+from lexmetric.theory import random_connected_graph, random_metric_space
+from lexmetric.twins import special_classes
 
 from test_space import metric_spaces
 
@@ -226,6 +228,58 @@ class TestLexicographic:
         assert prod.space.n == 12
         assert prod.base_points == ("a", "b", "c")
 
+    def test_factor_labels_that_meet_in_one_product_label_are_rejected(self):
+        # "(a" with "b)|c" and "a|(b" with "c)" both give "(a|(b)|c)".
+        base = FiniteMetricSpace(("(a", "a|(b"), [[0, 1], [1, 0]])
+        second = FiniteMetricSpace(("b)|c", "c)"), [[0, 1], [1, 0]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate point labels"):
+                lexicographic(base, second)
+
+
+NON_FINITE = "distance table has non-finite entries"
+SKEW = "the {} is not symmetric at tolerance: d('a', 'b') = 2.0 but d('b', 'a') = 4.0"
+INDISTINGUISHABLE = "points 'a' and 'b' are indistinguishable at tolerance"
+ZERO_NEARNESS = "the base space must have positive nearness"
+BAD_SPACES = {
+    "non-finite": (
+        (("a", "b"), [[0, np.nan], [np.nan, 0]]),
+        [NON_FINITE] * 6,
+    ),
+    "asymmetric": (
+        (("c", "a", "b"), [[0, 3, 2], [1, 0, 2], [2, 4, 0]]),
+        [SKEW.format("base"), SKEW.format("second factor")] * 2 + [None, None],
+    ),
+    "zero-nearness": (
+        (("a", "b", "c"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]]),
+        [ZERO_NEARNESS, None, ZERO_NEARNESS, INDISTINGUISHABLE, None, INDISTINGUISHABLE],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_SPACES))
+def test_a_failed_check_raises_the_same_error_on_every_call(kind):
+    """One bad space object goes through every call twice, as the base, as the second
+    factor and on its own: a call raises the same text each time, the text it raises
+    on a fresh space, and a call that passes on a fresh space passes again."""
+    (points, table), expected = BAD_SPACES[kind]
+    bad = FiniteMetricSpace(points, table)
+    calls = [
+        lambda: lexicographic(bad, K2),
+        lambda: lexicographic(K2, bad),
+        lambda: special_classes(bad, K2),
+        lambda: special_classes(K2, bad),
+        lambda: space_stats(bad),
+        lambda: metric_dimension(bad),
+    ]
+    for order in (range(6), reversed(range(6))):
+        for k in order:
+            if expected[k] is None:
+                calls[k]()
+                continue
+            with pytest.raises(ValueError) as raised:
+                calls[k]()
+            assert str(raised.value) == expected[k]
 
 def bfs_metric(adjacency, vertices):
     dist = {}
@@ -412,3 +466,50 @@ def test_nested_products_are_associative(seed):
     assert sorted(order) == list(range(right.space.n))
     assert np.array_equal(left.space.dist, right.space.dist[np.ix_(order, order)])
     assert left.space.tolerance == right.space.tolerance
+
+
+@st.composite
+def relabeled_factors(draw):
+    """A weighted or graph space of 2-5 points, its labels drawn from "xy|()" half the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        space = random_metric_space(rng, n)
+    else:
+        space = graph_metric(random_connected_graph(rng, n))
+    labels = space.points
+    if draw(st.booleans()):
+        label = st.text("xy|()", min_size=1, max_size=3)
+        labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    return FiniteMetricSpace(labels, space.dist, draw(st.sampled_from([0.0, 1e-9, 1e-3])))
+
+
+def assert_same_as_rebuilt(space):
+    """``space`` equals its copy through the public constructor, down to the table bytes."""
+    again = FiniteMetricSpace(space.points, space.dist, space.tolerance, space.name)
+    assert space.points == again.points and space.tolerance == again.tolerance
+    assert (space.dist.dtype, space.dist.shape) == (again.dist.dtype, again.dist.shape)
+    assert space.dist.tobytes() == again.dist.tobytes()
+    assert [space.index(p) for p in again.points] == list(range(again.n))
+    assert not space.dist.flags.writeable
+    assert validate(space) == validate(again)
+    assert space._finite is again._finite
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(relabeled_factors(), relabeled_factors(), st.floats(0.05, 5.0))
+def test_derived_spaces_equal_their_copies_through_the_constructor(base, second, t):
+    """Products, capped and squashed spaces skip the constructor: each is the space
+    it would build, and a product whose labels collide raises as it would."""
+    def wrap(label):
+        return f"({label})" if "|" in label else label
+
+    labels = [f"{wrap(x)}|{wrap(y)}" for x in base.points for y in second.points]
+    if len(set(labels)) < len(labels):
+        with pytest.raises(ValueError, match="duplicate point labels"):
+            lexicographic(base, second)
+        return
+    product = lexicographic(base, second).space
+    assert product.points == tuple(labels)
+    for space in (product, gravitational(second, t), squash(t, second), gravitational(product, t)):
+        assert_same_as_rebuilt(space)

@@ -590,6 +590,37 @@ def test_memo_hits_are_fresh_equal_copies_of_one_computation():
     assert len(calls) == 1
 
 
+def test_a_family_met_again_is_answered_in_one_lookup(monkeypatch):
+    """A table and a relabeled copy of it at twice the scale have one minimal family:
+    the second solve is the first by position, every component counted reused, and
+    with must-hit rows the stored answer keeps its budget as a cold solve does."""
+    space = lexicographic(P3, C5).space
+    # A prefix keeps the label order, so positions in label order match.
+    copy = FiniteMetricSpace(tuple("q" + p for p in space.points), space.dist * 2)
+    rows = np.zeros((1, space.n), bool)
+    rows[0, [space.index("b|v1"), space.index("c|v3")]] = True
+    fresh = metric_dimension(space)
+    assert fresh.stats.components == 2 and fresh.stats.nodes > 0
+    cold = _least_basis(space, _minimal_family(space), rows, space.n)
+    assert cold.stats.reduced_sets != fresh.stats.reduced_sets
+    assert _least_basis(space, _minimal_family(space), rows, cold.dimension - 1) is None
+
+    def no_search(*args):
+        raise AssertionError("a stored family was split into components")
+
+    monkeypatch.setattr(resolving_module, "_solve_component", no_search)
+    family = _minimal_family(copy)
+    assert _least_basis(copy, family, rows, cold.dimension - 1) is None
+    hits = metric_dimension(copy), _least_basis(copy, family, rows, cold.dimension)
+    for first, again in zip((fresh, cold), hits):
+        assert again.dimension == first.dimension
+        assert [copy.index(p) for p in again.basis] == [space.index(p) for p in first.basis]
+        assert dataclasses.astuple(again.stats)[:3] == dataclasses.astuple(first.stats)[:3]
+        stats = again.stats
+        assert (stats.reused, stats.nodes, stats.memo_hits, stats.prunes) == (
+            stats.components, 0, 0, 0)
+
+
 def test_interleaved_components():
     """Components {0, 2, 4} and {1, 3} interleave in label order."""
     sets = [0b101, 0b10100, 0b1010]
