@@ -202,14 +202,22 @@ def gravitational(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
 def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Bounded transform d -> eta*d/(eta+d); the output diameter is below eta.
 
-    The map is strictly increasing, so every comparison between distances is
-    preserved exactly; in particular resolving sets and the metric dimension
-    do not change.
+    The map is strictly increasing above its pole at -eta, so every comparison between
+    distances, and with it every resolving set, is kept. An entry at or below -eta raises
+    ValueError. Where eta*d overflows, d dwarfs eta and the map is taken as eta/(eta/d + 1).
     """
     if not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
     d = space.dist
-    squashed = eta * d / (eta + d)
+    lo, hi = float(d.min()), float(d.max())
+    if lo <= -eta:
+        u, v = min((space.points[i], space.points[j]) for i, j in np.argwhere(d <= -eta))
+        raise ValueError(f"squash: d({u!r}, {v!r}) = {space.d(u, v)} is at or below -eta = {-eta}")
+    if eta * max(hi, -lo) < np.inf:  # Python floats overflow to inf without a warning
+        squashed = eta * d / (eta + d)
+    else:
+        with np.errstate(all="ignore"):
+            squashed = np.where(np.isinf(eta * d), eta / (eta / d + 1), eta * d / (eta + d))
     return _trusted_space(space.points, space._index, squashed, space.tolerance, space.name)
 
 
@@ -301,7 +309,8 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
     table = np.empty((n_base * n_fib, n_base * n_fib))
     blocks = table.reshape(n_base, n_fib, n_base, n_fib)  # fiber x's block is blocks[x, :, x, :]
     blocks[...] = upper[:, None, :, None]
-    blocks[base, :, base, :] = np.minimum(2.0 * near[:, None, None], second.dist)
+    with np.errstate(over="ignore"):  # a cap past the largest float is inf: it caps nothing
+        blocks[base, :, base, :] = np.minimum(2.0 * near[:, None, None], second.dist)
     tolerance = max(first.tolerance, second.tolerance)
     # Both factors are finite, so every entry is.
     product = _trusted_space(labels, index, table, tolerance, "lexicographic product", _finite=True)

@@ -376,21 +376,20 @@ def _components(masks: list[int]) -> list[list[int]]:
     return [members for _, members in groups]
 
 
-def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _Memo]:
+def _solve_component(masks: list[int], limit: int) -> tuple[list[int], _Memo]:
     """Lex-least minimum hitting set of one component, in global positions.
 
-    None when every hitting set of the component has more than ``budget``
-    points. Sets sharing a point are closed by their least common point.
-    Otherwise the process-wide memo is keyed by the sets shifted down to their
-    least position, sorted, so one family has one key; a shift keeps the order
-    of positions, so it keeps the lex-least witness, stored as offsets once
-    found (and only then). A new component gets the size search and the
-    witness reconstruction, sharing one table, which is returned for its
-    counters.
+    ``limit`` bounds the size search; the caller's, the points the witness so far
+    leaves free, is never below the optimum. Sets sharing a point are closed by their
+    least common point. Otherwise the process-wide memo is keyed by the sets shifted
+    down to their least position, sorted, so one family has one key; a shift keeps the
+    order of positions, so it keeps the lex-least witness, stored as offsets. A new
+    component gets the size search and the witness reconstruction, sharing one table,
+    which is returned for its counters.
     """
     memo = _Memo()
     common = reduce(and_, masks)
-    if common and budget >= 1:
+    if common:
         return [(common & -common).bit_length() - 1], memo
     union = reduce(or_, masks)
     low = (union & -union).bit_length() - 1
@@ -398,11 +397,8 @@ def _solve_component(masks: list[int], budget: int) -> tuple[list[int] | None, _
     held = _TABLES.get(key)
     if held is not None:
         memo.reused = 1
-        offsets = pickle.loads(held)
-        return (None if len(offsets) > budget else [low + k for k in offsets]), memo
-    size = _min_hitting_set_size(masks, budget, memo)
-    if size is None:
-        return None, memo
+        return [low + k for k in pickle.loads(held)], memo
+    size = _min_hitting_set_size(masks, limit, memo)
     witness = _lex_least_hitting_set(masks, size, memo)
     _TABLES.store(key, [k - low for k in witness])
     return witness, memo
@@ -426,19 +422,14 @@ def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
 
 
 def _least_basis(
-    space: FiniteMetricSpace,
-    family: tuple,
-    must_hit: np.ndarray,
-    budget: int,
-    enumerate_all: bool = False,
-) -> ResolveResult | None:
+    space: FiniteMetricSpace, family: tuple, must_hit: np.ndarray, enumerate_all: bool = False
+) -> ResolveResult:
     """The lex-least smallest resolving set that also meets every row of ``must_hit``.
 
     ``family`` is the space's :func:`_minimal_family`. ``must_hit`` is a
     boolean table with one column per point, in point order; each row is one
-    more set the basis must hit. Returns None when no such set has at most
-    ``budget`` points. With no rows and a budget of ``space.n`` this is the
-    least metric basis, solved as :func:`metric_dimension` describes. With
+    more set the basis must hit, and none may be empty. With no rows this is
+    the least metric basis, solved as :func:`metric_dimension` describes. With
     ``enumerate_all`` every such set of the least size is listed as well,
     from the same minimal sets. The reduced family, ``must_hit`` rows merged
     in, is looked up whole in the process-wide memo first: a family met
@@ -448,8 +439,6 @@ def _least_basis(
     labels, minimal = family
     if len(must_hit):
         extra = _word_masks(_packed_words(must_hit[:, [space.index(p) for p in labels]]))
-        if not all(extra):
-            return None
         # Every pair's set contains one of the family's, so these reduce alike.
         minimal = _minimal_masks([*minimal, *extra])
     # The tag keeps a family's key apart from every component's.
@@ -459,14 +448,10 @@ def _least_basis(
     if held is not None:
         witness, components = pickle.loads(held)
         reused = components
-        if len(witness) > budget:
-            return None
     else:
         witness, reused, parts = [], 0, _components(minimal)
         for masks in parts:
-            part, memo = _solve_component(masks, budget - len(witness))
-            if part is None:
-                return None
+            part, memo = _solve_component(masks, space.n - len(witness))
             witness += part
             nodes, hits, prunes = nodes + memo.nodes, hits + memo.hits, prunes + memo.prunes
             reused += memo.reused
@@ -492,15 +477,16 @@ def _charge(key: bytes, value: bytes) -> int:
 class _TableMemo(dict):
     """Pickled results under pickled keys, dropped oldest first past ``_MEMO_BYTES``.
 
-    A key is a table's :func:`~lexmetric.space._table_key` with a tag, a reduced family's
-    sets in (size, value) order with the tag ``"family"`` (its value: the least hitting
-    set's positions and the component count), or a hitting-set component's sorted,
-    shifted sets; all three are canonical. An equal key that pickles
-    otherwise (a label that is the tag's own ``str`` object, say) can only miss, never
-    hit wrongly, as pickle round-trips. Each hit is a fresh copy, so no caller can change
-    what is held. Each entry is charged :func:`_charge`, worked out again when dropped.
-    Entries are stored whole under the lock, though two threads may compute one; ``nbytes``
-    rises before a store and falls after a drop, so it never reads below the charges held.
+    A key is a table's :func:`~lexmetric.space._table_key` with a tag, a special-class
+    solve's ``(table key, gap, tol)``, a reduced family's sets in (size, value) order with
+    the tag ``"family"`` (its value: the least hitting set's positions and the component
+    count), or a hitting-set component's sorted, shifted sets; all four are canonical. An
+    equal key that pickles otherwise (a label that is the tag's own ``str`` object, say)
+    can only miss, never hit wrongly, as pickle round-trips. Each hit is a fresh copy, so
+    no caller can change what is held. Each entry is charged :func:`_charge`, worked out
+    again when dropped. Entries are stored whole under the lock, though two threads may
+    compute one; ``nbytes`` rises before a store and falls after a drop, so it never reads
+    below the charges held.
     """
 
     nbytes = 0
@@ -538,7 +524,7 @@ def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]],
     def solve() -> tuple[tuple[list[str], list[int]], int]:
         _require_finite(space)
         family = _minimal_family(space)
-        return family, _least_basis(space, family, np.zeros((0, space.n), bool), space.n).dimension
+        return family, _least_basis(space, family, np.zeros((0, space.n), bool)).dimension
 
     return _TABLES.recall((_table_key(space), "solve"), solve)
 
@@ -595,5 +581,4 @@ def metric_dimension(
             )
         return ResolveResult(dimension, found, all_bases)
 
-    no_rows = np.zeros((0, space.n), dtype=bool)
-    return _least_basis(space, _minimal_family(space), no_rows, space.n, enumerate_all)
+    return _least_basis(space, _minimal_family(space), np.zeros((0, space.n), bool), enumerate_all)

@@ -207,22 +207,23 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     # A pair i < j can break the triangle only if d[i, j] > min_k (d[i, k] + d[k, j]) + tau:
     # rounding is monotone and k in {i, j} only lowers the min. The witnesses k
     # not in {i, j} of each such pair are then listed with the per-triple sums.
-    for rows in _row_blocks(n, n * n):
-        lo = rows.start + 1
-        shortest = (d[rows, None, :] + d.T[None, lo:, :]).min(axis=2)
-        shortest += tau
-        i, j = np.nonzero(d[rows, lo:] > shortest)
-        if not i.size:
-            continue
-        i, j = i[i <= j] + rows.start, j[i <= j] + lo  # i < j in table indices
-        hit = d[i, j, None] > d[i] + d.T[j] + tau
-        each = np.arange(len(i))
-        hit[each, i] = hit[each, j] = False
-        c, k = np.nonzero(hit)
-        i, j = i[c], j[c]
-        lhs, rhs = d[i, j].tolist(), (d[i, k] + d[k, j]).tolist()
-        for u, w, v, a, b in zip(i.tolist(), k.tolist(), j.tolist(), lhs, rhs):
-            out.append(Violation("triangle", (pts[u], pts[w], pts[v]), a, b))
+    with np.errstate(over="ignore"):  # a sum past the largest float is inf: never a witness
+        for rows in _row_blocks(n, n * n):
+            lo = rows.start + 1
+            shortest = (d[rows, None, :] + d.T[None, lo:, :]).min(axis=2)
+            shortest += tau
+            i, j = np.nonzero(d[rows, lo:] > shortest)
+            if not i.size:
+                continue
+            i, j = i[i <= j] + rows.start, j[i <= j] + lo  # i < j in table indices
+            hit = d[i, j, None] > d[i] + d.T[j] + tau
+            each = np.arange(len(i))
+            hit[each, i] = hit[each, j] = False
+            c, k = np.nonzero(hit)
+            i, j = i[c], j[c]
+            lhs, rhs = d[i, j].tolist(), (d[i, k] + d[k, j]).tolist()
+            for u, w, v, a, b in zip(i.tolist(), k.tolist(), j.tolist(), lhs, rhs):
+                out.append(Violation("triangle", (pts[u], pts[w], pts[v]), a, b))
     return ValidationReport(ok=not out, violations=tuple(out))
 
 

@@ -132,9 +132,13 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
 
 
 def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str, ...] | None:
+    """The least basis of ``fib`` with no far witness at ``gap``, or None; see below."""
     family, dimension = _table_solve(fib)
-    found = _least_basis(fib, family, np.abs(fib.dist - gap) > tol, dimension)
-    return found.basis if found else None
+    must_hit = np.abs(fib.dist - gap) > tol
+    if not must_hit.any(axis=1).all():  # a point with nothing off the gap is a far witness
+        return None
+    found = _least_basis(fib, family, must_hit)
+    return found.basis if found.dimension == dimension else None
 
 
 def _special_classes(
@@ -143,9 +147,9 @@ def _special_classes(
     """:func:`special_classes` on a partition at hand; ``fiber(x)`` is the fiber over ``x``.
 
     A basis B has no far witness when, for every fiber point z, B meets the
-    points off the gap from z. So one solve per distinct fiber and gap,
-    constrained to meet those sets within the fiber dimension, finds the
-    least failing basis or shows there is none. It starts from the minimal
+    points off the gap from z. One solve per distinct fiber, gap and tolerance
+    finds the least resolving set that meets those sets: a failing basis exactly
+    when its size is the fiber dimension. It starts from the minimal
     distinguisher sets of the fiber's plain solve; both are kept per table.
     """
     tol = max(base.tolerance, second.tolerance)

@@ -378,6 +378,7 @@ GOLDEN = [
     ("verify-k4-k2-corollaries", "verify k4.edges k2.json --theorem corollaries", 0),
     ("verify-nonmetric-k2", "verify nonmetric.json k2.json", 2),
     ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 2),
+    ("verify-far-w3", "verify far.json w3.json", 0),
     ("corpus-5", "corpus --seed 5 --count 30", 0),
     ("corpus-9-json", "corpus --seed 9 --count 3 --json", 0),
     ("error-missing-file", "stats missing.json", 2),
@@ -388,6 +389,8 @@ GOLDEN = [
     ("error-corpus-seed-negative", "corpus --seed -1", 2),
     ("error-enumeration-cap", "dim c5.edges --all-bases --max-enumeration-points 4", 2),
     ("error-eta-inf", "squash p4.edges --eta inf", 2),
+    ("error-squash-pole", "squash negative.json --eta 1", 2),
+    ("error-verify-k2-negative", "verify k2.json negative.json", 2),
     ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),
     ("error-tolerance-inf", "stats p4.edges --tolerance inf", 2),
     ("error-unknown-command", "frobnicate", 2),

@@ -28,7 +28,7 @@ from lexmetric.construct import (
 )
 from lexmetric.resolving import metric_dimension
 from lexmetric.space import FiniteMetricSpace, diameter, nearness_point, space_stats, validate
-from lexmetric.theory import random_connected_graph, random_metric_space
+from lexmetric.theory import random_connected_graph, random_metric_space, verify_all
 from lexmetric.twins import special_classes
 
 from test_space import metric_spaces
@@ -154,6 +154,44 @@ class TestSquash:
         # inf * d / (inf + d) is NaN for every entry.
         with pytest.raises(ValueError, match="eta"):
             squash(float("inf"), discrete_metric(3))
+
+    @pytest.mark.parametrize("entry", [-1.0, -3.0])
+    def test_rejects_an_entry_at_or_below_the_pole(self, entry):
+        # The map has its pole at -eta and reverses order below it. The first pair
+        # in label order is named, not the first in point order.
+        s = FiniteMetricSpace(("c", "a", "b"), [[0, entry, 1], [entry, 0, entry], [1, entry, 0]])
+        with pytest.raises(ValueError) as raised:
+            squash(1.0, s)
+        assert str(raised.value) == f"squash: d('a', 'b') = {entry} is at or below -eta = -1.0"
+
+    def test_entries_above_the_pole_stay_finite_and_increasing(self):
+        s = FiniteMetricSpace(("y1", "y2"), [[0, -0.999], [-0.5, 0]])
+        out = squash(1.0, s)
+        assert np.isfinite(out.dist).all()
+        assert out.d("y1", "y2") < out.d("y2", "y1") < out.d("y1", "y1")
+
+    def test_far_entries_are_finite_and_the_rest_keep_their_bytes(self):
+        # 1e308 * eta overflows for eta above about 1.8; the other entries are computed
+        # as before, byte for byte.
+        d = np.array([[0, 1e308, 1.5], [1e308, 0, 1e308], [1.5, 1e308, 0]])
+        s = FiniteMetricSpace(("a", "b", "c"), d)
+        for eta in (0.5, 2.0, 1e300):
+            out = squash(eta, s)
+            assert np.isfinite(out.dist).all() and out.dist.max() <= eta
+            near = d < 1e300
+            assert out.dist[near].tobytes() == (eta * d[near] / (eta + d[near])).tobytes()
+            assert out.d("a", "c") < out.d("a", "b")
+
+
+def test_a_far_pair_is_built_and_verified_without_overflow():
+    """A base pair at 1e308: twice its nearness is past the largest float, so the fiber
+    cap is inf and caps nothing, and the squash report's eta * d overflows."""
+    far = FiniteMetricSpace(("a", "b"), [[0, 1e308], [1e308, 0]])
+    w3 = FiniteMetricSpace(("y1", "y2", "y3"), [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+    product = lexicographic(far, w3).space
+    assert np.array_equal(product.dist[:3, :3], w3.dist)
+    reports = verify_all(far, w3)
+    assert all(report.passed or report.skipped for report in reports)
 
 
 K2 = graph_metric(complete_graph(2))

@@ -514,14 +514,15 @@ def test_memoized_search_agrees_with_plain_branch_and_bound(sets):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.lists(st.integers(1, 255), min_size=1, max_size=12), st.integers(0, 3))
 @example(COMMON_POINT, 0)
-@example(COMMON_POINT, 1)
 @example(COMMON_POINT, 2)
 @example([0b0110], 1)
-def test_solve_component_agrees_with_plain_branch_and_bound(sets, budget):
-    """A family whose sets share a point is closed by its least one, with no search."""
-    part, memo = _solve_component(sets, budget)
-    size = plain_min_hitting_set_size(sets, budget)
-    assert part == (None if size is None else plain_lex_least_hitting_set(sets, size))
+@example(TRIPLES_OF_FIVE, 0)
+def test_solve_component_agrees_with_plain_branch_and_bound(sets, slack):
+    """At any search limit from the optimum up, the witness is the oracle's; a family
+    whose sets share a point is closed by its least one, with no search."""
+    size = plain_min_hitting_set_size(sets, 8)
+    part, memo = _solve_component(sets, size + slack)
+    assert part == plain_lex_least_hitting_set(sets, size)
     if reduce(and_, sets):
         assert (memo.nodes, memo.hits, memo.prunes) == (0, 0, 0)
 
@@ -535,30 +536,29 @@ def test_solve_component_agrees_with_plain_branch_and_bound(sets, budget):
 @example(COMMON_POINT, [2])
 @example(OPEN_AT_ZERO_BUDGET, [5])
 def test_shifted_copies_are_answered_from_the_process_memo(sets, shifts):
-    """A family and its copies shifted left, at budgets below, at and above its
-    optimum: each answer equals the oracle's and a solve on an empty memo. Once a
-    witness is stored, every copy is answered from it with no search, None below."""
+    """A family and its copies shifted left, at search limits at and above its
+    optimum: each answer equals the oracle's and a solve on an empty memo. Once the
+    first is solved, every copy is answered from its stored witness with no search."""
     size = plain_min_hitting_set_size(sets, 8)
     copies = [[m << shift for m in sets] for shift in (0, *shifts)]
-    budgets = [size - 1, size, size + 1]
+    limits = [size, size + 1]
     expected = {}
     for k, family in enumerate(copies):
-        for budget in budgets:
+        for limit in limits:
             resolving_module._TABLES.clear()
-            expected[k, budget] = _solve_component(family, budget)[0]
-            oracle = None if budget < size else plain_lex_least_hitting_set(family, size)
-            assert expected[k, budget] == oracle
+            expected[k, limit] = _solve_component(family, limit)[0]
+            assert expected[k, limit] == plain_lex_least_hitting_set(family, size)
     resolving_module._TABLES.clear()
     searched = not reduce(and_, sets)
     stored = False
-    for budget in [*budgets, *reversed(budgets)]:
+    for limit in [*limits, *reversed(limits)]:
         for k, family in enumerate(copies):
-            part, memo = _solve_component(family, budget)
-            assert part == expected[k, budget]
+            part, memo = _solve_component(family, limit)
+            assert part == expected[k, limit]
             assert memo.reused == (searched and stored)
             if memo.reused:
                 assert (memo.nodes, memo.hits, memo.prunes, len(memo)) == (0, 0, 0, 0)
-            stored = stored or budget >= size
+            stored = True
 
 
 def test_search_table_dies_with_its_solve():
@@ -593,26 +593,27 @@ def test_memo_hits_are_fresh_equal_copies_of_one_computation():
 def test_a_family_met_again_is_answered_in_one_lookup(monkeypatch):
     """A table and a relabeled copy of it at twice the scale have one minimal family:
     the second solve is the first by position, every component counted reused, and
-    with must-hit rows the stored answer keeps its budget as a cold solve does."""
+    with must-hit rows the stored answer keeps its size as a cold solve does, equal
+    to the dimension under one row and larger under three forced points."""
     space = lexicographic(P3, C5).space
     # A prefix keeps the label order, so positions in label order match.
     copy = FiniteMetricSpace(tuple("q" + p for p in space.points), space.dist * 2)
-    rows = np.zeros((1, space.n), bool)
-    rows[0, [space.index("b|v1"), space.index("c|v3")]] = True
+    one_row = np.zeros((1, space.n), bool)
+    one_row[0, [space.index("b|v1"), space.index("c|v3")]] = True
+    forced = np.eye(space.n, dtype=bool)[[space.index(p) for p in ("b|v1", "b|v2", "b|v4")]]
     fresh = metric_dimension(space)
     assert fresh.stats.components == 2 and fresh.stats.nodes > 0
-    cold = _least_basis(space, _minimal_family(space), rows, space.n)
-    assert cold.stats.reduced_sets != fresh.stats.reduced_sets
-    assert _least_basis(space, _minimal_family(space), rows, cold.dimension - 1) is None
+    cold = [_least_basis(space, _minimal_family(space), rows) for rows in (one_row, forced)]
+    assert [found.dimension for found in cold] == [fresh.dimension, fresh.dimension + 1]
+    assert all(found.stats.reduced_sets != fresh.stats.reduced_sets for found in cold)
 
     def no_search(*args):
         raise AssertionError("a stored family was split into components")
 
     monkeypatch.setattr(resolving_module, "_solve_component", no_search)
     family = _minimal_family(copy)
-    assert _least_basis(copy, family, rows, cold.dimension - 1) is None
-    hits = metric_dimension(copy), _least_basis(copy, family, rows, cold.dimension)
-    for first, again in zip((fresh, cold), hits):
+    hits = metric_dimension(copy), *(_least_basis(copy, family, rows) for rows in (one_row, forced))
+    for first, again in zip((fresh, *cold), hits):
         assert again.dimension == first.dimension
         assert [copy.index(p) for p in again.basis] == [space.index(p) for p in first.basis]
         assert dataclasses.astuple(again.stats)[:3] == dataclasses.astuple(first.stats)[:3]
@@ -666,31 +667,26 @@ def test_kernel_agrees_with_plain_branch_and_bound_and_enumeration(space):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(solver_spaces(), st.integers(0, 2**32 - 1))
 def test_must_hit_solves_agree_on_a_warm_and_a_cold_memo(space, seed):
-    """Solves with extra must-hit rows, as the special-class test makes them, at
-    budgets below, at and above their optimum: on an empty memo, after the plain
-    solve of the same space, and again in reverse, each answer is the oracle's."""
+    """Solves with extra must-hit rows, as the special-class test makes them: on an
+    empty memo, after the plain solve of the same space, and once more, each answer
+    is the oracle's least hitting set, never smaller than the dimension. Empty rows
+    are dropped: the special-class test settles those before it solves."""
     rng = np.random.default_rng(seed)
     family = _minimal_family(space)
     labels, minimal = family
     rows = rng.random((int(rng.integers(1, 4)), space.n)) < 0.3
+    rows = rows[rows.any(axis=1)]
     extra = [sum(1 << k for k, p in enumerate(labels) if row[space.index(p)]) for row in rows]
     sets = [*minimal, *extra]
-    size = plain_min_hitting_set_size(sets, space.n) if all(extra) else None
-    budgets = [space.n] if size is None else [size - 1, size, size + 1]
-    expected = {}
-    for budget in budgets:
-        resolving_module._TABLES.clear()
-        found = _least_basis(space, family, rows, budget)
-        expected[budget] = found and found.basis
-        if size is None or budget < size:
-            assert found is None
-        else:
-            assert found.basis == tuple(labels[i] for i in plain_lex_least_hitting_set(sets, size))
+    size = plain_min_hitting_set_size(sets, space.n)
+    expected = tuple(labels[i] for i in plain_lex_least_hitting_set(sets, size))
     resolving_module._TABLES.clear()
-    metric_dimension(space)
-    for budget in [*budgets, *reversed(budgets)]:
-        found = _least_basis(space, family, rows, budget)
-        assert (found and found.basis) == expected[budget]
+    found = [_least_basis(space, family, rows)]
+    resolving_module._TABLES.clear()
+    dimension = metric_dimension(space).dimension
+    found += [_least_basis(space, family, rows) for _ in range(2)]
+    assert [(f.dimension, f.basis) for f in found] == [(size, expected)] * 3
+    assert size >= dimension
 
 
 def weighted_7x7(seed: int, index: int):

@@ -470,3 +470,13 @@ def test_nearness_matches_the_loop_oracle(space):
         assert list(stats.nearness_per_point.values()) == expected
         assert (stats.nearness, stats.slack) == (min(expected), max(expected))
         assert (nearness(space), slack(space)) == (min(expected), max(expected))
+
+
+def test_validate_sums_past_the_largest_float_without_warning():
+    """A far pair is a metric; with a broken triangle beside far entries, the sums through
+    the far point overflow to inf and only the real witness is reported."""
+    assert validate(FiniteMetricSpace(("a", "b"), [[0, 1e308], [1e308, 0]])).ok
+    far = 1e308
+    table = [[0, 10, 1, far], [10, 0, 1, far], [1, 1, 0, far], [far, far, far, 0]]
+    report = validate(FiniteMetricSpace(("a", "b", "c", "d"), table))
+    assert report.violations == (Violation("triangle", ("a", "c", "b"), 10.0, 2.0),)

@@ -325,9 +325,9 @@ def test_second_verify_all_of_a_pair_solves_only_the_products(counted, monkeypat
 
     constrained = []
 
-    def least_basis(space, family, must_hit, budget, enumerate_all=False):
+    def least_basis(space, family, must_hit, enumerate_all=False):
         constrained.append(space.points)
-        return real_least_basis(space, family, must_hit, budget, enumerate_all)
+        return real_least_basis(space, family, must_hit, enumerate_all)
 
     real_least_basis = twins._least_basis
     monkeypatch.setattr(twins, "_least_basis", least_basis)

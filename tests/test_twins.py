@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexmetric import resolving
 from lexmetric.construct import (
     Graph,
     complete_graph,
@@ -19,9 +21,16 @@ from lexmetric.construct import (
 )
 from lexmetric.resolving import metric_dimension, resolves
 from lexmetric.space import FiniteMetricSpace, diameter, nearness, nearness_point
-from lexmetric.theory import connected_graph_spaces, random_pairs, weighted_corpus_spaces
+from lexmetric.theory import (
+    connected_graph_spaces,
+    random_connected_graph,
+    random_metric_space,
+    random_pairs,
+    weighted_corpus_spaces,
+)
 from lexmetric.twins import (
     TwinPartition,
+    _failing_basis,
     _twin_matrix,
     is_twins_free,
     special_classes,
@@ -194,9 +203,9 @@ class TestSpecialClasses:
             built.append(space.dist.tobytes())
             return real_separator_words(space)
 
-        def least_basis(space, family, must_hit, budget, enumerate_all=False):
+        def least_basis(space, family, must_hit, enumerate_all=False):
             solves.append((len(must_hit) > 0, enumerate_all))
-            return real_least_basis(space, family, must_hit, budget, enumerate_all)
+            return real_least_basis(space, family, must_hit, enumerate_all)
 
         real_separator_words = resolving._separator_words
         real_least_basis = resolving._least_basis
@@ -463,12 +472,14 @@ def test_least_failing_basis_matches_an_independent_ilp():
     """Seeded fibers of 6-16 points, each capped, with the cap or an entry as the gap.
 
     A basis with no far witness meets, for every fiber point z, the points off the gap
-    from z. The constrained solve's answer must meet those rows within the fiber
-    dimension, and None must mean no point set of that size does.
+    from z. The constrained solve's size must be the least at which some point set
+    resolves the fiber and meets those rows. A failing basis is its answer when that
+    size is the fiber dimension; None must mean no point set of that size does.
     """
     pytest.importorskip("scipy")
     from lexmetric.resolving import _least_basis, _table_solve
     from lexmetric.theory import random_connected_graph, random_metric_space
+    from lexmetric.twins import _failing_basis
 
     rng = np.random.default_rng(61)
     outcomes = []
@@ -484,14 +495,59 @@ def test_least_failing_basis_matches_an_independent_ilp():
         gap = 2 * t if trial % 4 < 2 else float(rng.choice(fib.dist[np.triu_indices(n, 1)]))
         must_hit = np.abs(fib.dist - gap) > fib.tolerance
         family, dimension = _table_solve(fib)
-        found = _least_basis(fib, family, must_hit, dimension)
-        if found is None:
+        failing = _failing_basis(fib, gap, fib.tolerance)
+        if must_hit.any(axis=1).all():
+            found = _least_basis(fib, family, must_hit)
+            assert found.dimension >= dimension
+            assert ilp_constrained_feasible(fib, must_hit, found.dimension)
+            assert not ilp_constrained_feasible(fib, must_hit, found.dimension - 1)
+            assert failing == (found.basis if found.dimension == dimension else None)
+        if failing is None:
             assert not ilp_constrained_feasible(fib, must_hit, dimension)
         else:
-            chosen = np.isin(fib.points, found.basis)
-            assert len(found.basis) == dimension
-            assert resolves(fib, found.basis)
+            chosen = np.isin(fib.points, failing)
+            assert len(failing) == dimension
+            assert resolves(fib, failing)
             assert must_hit[:, chosen].any(axis=1).all()
-            assert ilp_constrained_feasible(fib, must_hit, dimension)
-        outcomes.append(found is None)
+        outcomes.append(failing is None)
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+def brute_failing_basis(fib: FiniteMetricSpace, gap: float, tol: float):
+    """The first subset of dim(fiber) points, in label order, that resolves ``fib`` and
+    meets, for every point z, the points off the gap from z; None when there is none."""
+    dimension = metric_dimension(fib, method="enumeration").dimension
+    must_hit = np.abs(fib.dist - gap) > tol
+    for combo in itertools.combinations(sorted(fib.points), dimension):
+        chosen = [fib.index(p) for p in combo]
+        if must_hit[:, chosen].any(axis=1).all() and resolves(fib, combo):
+            return combo
+    return None
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 9),
+    st.booleans(),
+    st.sampled_from(["cap", "entry", "entry-wide-tolerance"]),
+)
+def test_failing_basis_matches_the_brute_force_scan(seed, n, weighted, gap_kind):
+    """Weighted and graph fibers, capped, with the gap at the cap or at a table entry, on
+    a cold and a warm memo. A tolerance as wide as the fiber leaves every point its own
+    far witness, so no basis fails."""
+    rng = np.random.default_rng(seed)
+    if weighted:
+        second = random_metric_space(rng, n)
+    else:
+        second = graph_metric(random_connected_graph(rng, n, extra_edge_prob=0.3))
+    t = float(rng.choice(second.dist[np.triu_indices(n, 1)])) / 2
+    fib = gravitational(second, t)
+    gap = 2 * t if gap_kind == "cap" else float(rng.choice(fib.dist[np.triu_indices(n, 1)]))
+    tol = diameter(fib) if gap_kind == "entry-wide-tolerance" else fib.tolerance
+    expected = brute_failing_basis(fib, gap, tol)
+    resolving._TABLES.clear()
+    assert _failing_basis(fib, gap, tol) == expected
+    assert _failing_basis(fib, gap, tol) == expected
+    if gap_kind == "entry-wide-tolerance":
+        assert expected is None
