@@ -201,7 +201,7 @@ def _verdict(report) -> str:
 # The checks behind ``verify --theorem``; each gives a list of reports.
 _THEOREMS = {
     "dimension": lambda a, x, y: [verify_dimension(x, y, a.max_product_points)],
-    "diameter": lambda a, x, y: [verify_diameter(x, y)],
+    "diameter": lambda a, x, y: [verify_diameter(x, y, a.max_product_points)],
     "squash": lambda a, x, y: [verify_squash(x, y, a.max_product_points)],
     "corollaries": lambda a, x, y: verify_corollaries(x, y, a.max_product_points),
     "all": lambda a, x, y: verify_all(x, y, a.max_product_points),

@@ -200,7 +200,7 @@ def gravitational(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
 
 
 def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
-    """Bounded transform d -> eta*d/(eta+d); the output diameter is below eta.
+    """Bounded transform d -> eta*d/(eta+d); the output diameter is at most eta.
 
     The map is strictly increasing above its pole at -eta, so every comparison between
     distances, and with it every resolving set, is kept. An entry at or below -eta raises

@@ -477,13 +477,14 @@ def _charge(key: bytes, value: bytes) -> int:
 class _TableMemo(dict):
     """Pickled results under pickled keys, dropped oldest first past ``_MEMO_BYTES``.
 
-    A key is a table's :func:`~lexmetric.space._table_key` with a tag, a special-class
-    solve's ``(table key, gap, tol)``, a reduced family's sets in (size, value) order with
-    the tag ``"family"`` (its value: the least hitting set's positions and the component
-    count), or a hitting-set component's sorted, shifted sets; all four are canonical. An
-    equal key that pickles otherwise (a label that is the tag's own ``str`` object, say)
-    can only miss, never hit wrongly, as pickle round-trips. Each hit is a fresh copy, so
-    no caller can change what is held. Each entry is charged :func:`_charge`, worked out
+    A key is one of five kinds, all canonical: a table's :func:`~lexmetric.space._table_key`
+    tagged ``"base"`` (a base's statistics and twin partition) or ``"solve"`` (its
+    :func:`_table_solve`), a special-class solve's ``(table key, gap, tol)``, a reduced
+    family's sets in (size, value) order tagged ``"family"`` (its value: the least hitting
+    set's positions and the component count), or a hitting-set component's sorted, shifted
+    sets. An equal key that pickles otherwise (a label that is the tag's own ``str`` object,
+    say) can only miss, never hit wrongly, as pickle round-trips. Each hit is a fresh copy,
+    so no caller can change what is held. Each entry is charged :func:`_charge`, worked out
     again when dropped. Entries are stored whole under the lock, though two threads may
     compute one; ``nbytes`` rises before a store and falls after a drop, so it never reads
     below the charges held.
@@ -527,11 +528,6 @@ def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]],
         return family, _least_basis(space, family, np.zeros((0, space.n), bool)).dimension
 
     return _TABLES.recall((_table_key(space), "solve"), solve)
-
-
-def _table_dimension(space: FiniteMetricSpace) -> int:
-    """A space's metric dimension, once per table; a hit loads the int alone, not the family."""
-    return _TABLES.recall((_table_key(space), "dimension"), lambda: _table_solve(space)[1])
 
 
 def metric_dimension(

@@ -23,7 +23,7 @@ from .construct import (
     lexicographic,
     squash,
 )
-from .resolving import _TABLES, ResolveResult, _table_dimension, metric_dimension
+from .resolving import _TABLES, ResolveResult, _table_solve, metric_dimension
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
@@ -55,7 +55,10 @@ class VerificationReport:
     rhs: float | int | None
     passed: bool | None
     witnesses: dict
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        return self.passed is None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -121,11 +124,11 @@ class _Pair:
 
     @cached_property
     def product(self) -> ProductSpace:
+        self._guard()
         return lexicographic(self.base, self.second)
 
     @cached_property
     def product_solve(self) -> ResolveResult:
-        self._guard()
         return metric_dimension(self.product.space)
 
     @cached_property
@@ -136,7 +139,7 @@ class _Pair:
 
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:
-        dims = {v: _table_dimension(fib) for v, fib in self.fibers.items()}
+        dims = {v: _table_solve(fib)[1] for v, fib in self.fibers.items()}
         return {x: dims[v] for x, v in self.stats.nearness_per_point.items()}
 
     @cached_property
@@ -189,14 +192,12 @@ class _Pair:
             twins_free = VerificationReport("corollary-twins-free", lhs, rhs, lhs == rhs, witnesses)
         else:
             reason = {"reason": "base space has a non-singleton twin class"}
-            twins_free = VerificationReport(
-                "corollary-twins-free", None, None, None, reason, skipped=True
-            )
+            twins_free = VerificationReport("corollary-twins-free", None, None, None, reason)
 
         second_diameter, near = self.second_diameter, self.stats.nearness
         if second_diameter < near:
             lhs = self.product_solve.dimension
-            dim_second = _table_dimension(self.second)
+            dim_second = _table_solve(self.second)[1]
             rhs = self.base.n * dim_second
             witnesses = {
                 "second_dimension": dim_second,
@@ -211,9 +212,7 @@ class _Pair:
                 "second_diameter": second_diameter,
                 "base_nearness": near,
             }
-            small = VerificationReport(
-                "corollary-small-diameter", None, None, None, reason, skipped=True
-            )
+            small = VerificationReport("corollary-small-diameter", None, None, None, reason)
         return [twins_free, small]
 
     def squash_report(self) -> VerificationReport:
@@ -221,10 +220,20 @@ class _Pair:
         near = self.stats.nearness
         squashed = squash(near, self.second)
         squashed_diameter = diameter(squashed)
+        # Sorted neighbours show every merge, as the squash is increasing and never widens a
+        # gap; in float64 it rounds distances past about 2**52 times the nearness together.
+        entries, first = np.unique(self.second.dist, return_index=True)
+        images = squashed.dist.ravel()[first]
+        tol = max(self.base.tolerance, self.second.tolerance)
+        merged = (np.diff(entries) > self.second.tolerance) & (np.diff(images) <= tol)
+        if merged.any() or near - squashed_diameter <= tol:
+            reason = "squashing merges distances the tolerance tells apart"
+            witnesses = {"reason": reason, "base_nearness": near}
+            return VerificationReport("squash", None, None, None, witnesses)
         product = lexicographic(self.base, squashed)
         lhs = metric_dimension(product.space).dimension
-        dim_second = _table_dimension(self.second)
-        dim_squashed = _table_dimension(squashed)
+        dim_second = _table_solve(self.second)[1]
+        dim_squashed = _table_solve(squashed)[1]
         rhs = self.base.n * dim_second
         passed = lhs == rhs and lhs == self.base.n * dim_squashed
         witnesses = {
@@ -261,9 +270,13 @@ def verify_dimension(
     return _Pair(base, second, max_product_points).dimension_report()
 
 
-def verify_diameter(base: FiniteMetricSpace, second: FiniteMetricSpace) -> VerificationReport:
+def verify_diameter(
+    base: FiniteMetricSpace,
+    second: FiniteMetricSpace,
+    max_product_points: int = DEFAULT_PRODUCT_CAP,
+) -> VerificationReport:
     """Product diameter vs max of base diameter and the slack-capped second diameter."""
-    return _Pair(base, second).diameter_report()
+    return _Pair(base, second, max_product_points).diameter_report()
 
 
 def verify_corollaries(
@@ -293,7 +306,9 @@ def verify_squash(
     below that nearness without changing its dimension; the product with the
     squashed factor must then have dimension base size times second factor
     dimension. All three quantities are computed independently and must
-    agree.
+    agree. The report is skipped when the squash brings within the tolerance
+    two distances it tells apart, or a distance and the nearness, as float64
+    does once the distances dwarf the nearness.
     """
     return _Pair(base, second, max_product_points).squash_report()
 

@@ -379,12 +379,18 @@ GOLDEN = [
     ("verify-nonmetric-k2", "verify nonmetric.json k2.json", 2),
     ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 2),
     ("verify-far-w3", "verify far.json w3.json", 0),
+    ("verify-k2-far-path", "verify k2.json far-path.json", 0),
     ("corpus-5", "corpus --seed 5 --count 30", 0),
     ("corpus-9-json", "corpus --seed 9 --count 3 --json", 0),
     ("error-missing-file", "stats missing.json", 2),
     ("error-bad-edges", "dim bad.edges", 2),
     ("error-graph-reads-edges", "graph k2.json", 2),
     ("error-size-guard", "verify k4.edges c5.edges --max-product-points 10", 2),
+    (
+        "error-size-guard-diameter",
+        "verify w3.json w3.json --theorem diameter --max-product-points 4",
+        2,
+    ),
     ("error-corpus-count-negative", "corpus --seed 1 --count -3", 2),
     ("error-corpus-seed-negative", "corpus --seed -1", 2),
     ("error-enumeration-cap", "dim c5.edges --all-bases --max-enumeration-points 4", 2),

@@ -24,6 +24,7 @@ from lexmetric.space import FiniteMetricSpace, validate
 from lexmetric.theory import (
     SizeGuardExceeded,
     connected_graph_spaces,
+    fiber_dimensions,
     formula_rhs,
     random_connected_graph,
     random_metric_space,
@@ -155,6 +156,28 @@ class TestVerifySquash:
     def test_squashed_diameter_strictly_below_nearness(self):
         report = verify_squash(K3, C4)
         assert report.witnesses["squashed_diameter_below_nearness"]
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            # float64 rounds both far distances to the nearness 1.0
+            [[0, 1e17, 2e17], [1e17, 0, 1e17], [2e17, 1e17, 0]],
+            # the one distance lands on the nearness
+            [[0, 1e17], [1e17, 0]],
+            # the squash cuts the 3e-9 gap to a quarter, below the 1e-9 tolerance
+            [[0, 1, 1 + 3e-9], [1, 0, 1], [1 + 3e-9, 1, 0]],
+        ],
+        ids=["far-path", "far-pair", "gap-at-tolerance"],
+    )
+    def test_a_squash_that_merges_distances_is_skipped(self, table):
+        second = FiniteMetricSpace(tuple("abc"[: len(table)]), table)
+        for _ in range(2):
+            report = verify_squash(K2, second)
+            assert report.skipped and (report.lhs, report.rhs) == (None, None)
+            assert report.witnesses == {
+                "reason": "squashing merges distances the tolerance tells apart",
+                "base_nearness": 1.0,
+            }
 
     @pytest.mark.parametrize("space", [P3, P4, C4, K3, HALF_PAIR])
     def test_squash_keeps_dimension(self, space):
@@ -316,6 +339,38 @@ def test_verify_all_past_the_guard_raises_before_any_solve(counted):
     with pytest.raises(SizeGuardExceeded, match="42"):
         verify_all(discrete_metric(7), discrete_metric(6))
     assert counted == {"products": 0, "solves": []}
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_every_report_that_builds_a_product_refuses_one_past_the_guard(counted, warm):
+    """K2 x HALF_PAIR has 4 points, and every check applies to it: each report raises at
+    a guard of 3 before it builds a product, while the closed form still answers."""
+    if warm:
+        verify_all(K2, HALF_PAIR)
+        counted["products"] = 0
+    checks = [verify_dimension, verify_diameter, verify_corollaries, verify_squash, verify_all]
+    for check in checks:
+        with pytest.raises(SizeGuardExceeded, match="product has 4 points"):
+            check(K2, HALF_PAIR, 3)
+    assert counted["products"] == 0
+    assert fiber_dimensions(K2, HALF_PAIR) == {"v1": 1, "v2": 1}
+    assert formula_rhs(K2, HALF_PAIR) == 2
+    # Both corollaries skip on K3 x K2, so neither builds a product or meets the guard.
+    assert all(r.skipped for r in verify_corollaries(K3, K2, 3))
+
+
+def test_the_memo_holds_one_solve_entry_per_solved_table(counted):
+    """A table's family and dimension are one entry, under the tag "solve"; the two
+    products are solved through their reduced families instead."""
+    import lexmetric.resolving as resolving
+
+    verify_all(C4, P4)
+    keys = [pickle.loads(key) for key in resolving._TABLES]
+    tagged = [key for key in keys if type(key) is tuple and type(key[-1]) is str]
+    assert {tag for _, tag in tagged} == {"base", "solve", "family"}
+    solved = sorted((key[0], key[2]) for key, tag in tagged if tag == "solve")
+    factors = [s for s in counted["solves"] if len(s[0]) != C4.n * P4.n]
+    assert solved == sorted(factors) and len(factors) == len(set(factors)) == 3
 
 
 def test_second_verify_all_of_a_pair_solves_only_the_products(counted, monkeypatch):
