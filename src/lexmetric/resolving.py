@@ -6,8 +6,9 @@ hitting set problem: for each point pair, collect the points that tell the
 pair apart, then hit every one of those sets. Each set is packed into 64-bit
 words over the label-sorted points, where duplicates are dropped, and each
 distinct set is an ``int`` bitmask from there to the witness. The exact
-branch-and-bound solver then drops supersets and solves each group of sets
-that share no point with the others on its own. An independent
+solver then drops supersets and solves each group of sets that share no point
+with the others on its own: a group over 8 to 12 points by covering every
+subset of them at once, any other by branch and bound. An independent
 subset-enumeration solver is kept behind a flag as its oracle.
 """
 
@@ -29,6 +30,13 @@ DEFAULT_ENUMERATION_CAP = 16
 _MEMO_BYTES = 64 << 20
 # An entry's dict slot beyond its two strings, with the spare room a dict keeps after growing.
 _ENTRY_BYTES = 160
+# Components of this many positions are solved by covering every subset at once:
+# measured per component, the cover beat branch and bound from 8 positions to 12 and
+# lost below 8 and at 16, where its table has 2**16 rows.
+_COVER_POSITIONS = range(8, 13)
+# One-word families past this many distinct sets drop supersets in numpy, which
+# measured slower than the Python scan up to about 128 sets and faster past it.
+_NUMPY_FILTER_SETS = 128
 
 
 class EnumerationCapExceeded(ValueError):
@@ -37,17 +45,19 @@ class EnumerationCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Size of one branch-and-bound solve after data reduction.
+    """Size of one exact solve after data reduction.
 
     ``raw_sets`` counts the distinguisher sets, one per point pair;
     ``reduced_sets`` the distinct ones left after dropping supersets; and
     ``components`` the independent groups those split into. ``nodes`` and
     ``memo_hits`` count the branching nodes searched and those answered from
     a component's table, and ``prunes`` the searches cut by the packing
-    bound; all three are summed over components. ``reused`` counts the
-    components answered from the process-wide memo, with no search; when the
-    whole reduced family was met before, every component counts as reused and
-    the other three counters are 0. The four counters take no part in equality.
+    bound; all three are summed over components. A component of 8 to 12
+    positions is solved by covering every subset at once and adds none of
+    them. ``reused`` counts the components answered from the process-wide
+    memo, with no search; when the whole reduced family was met before, every
+    component counts as reused and the other three counters are 0. The four
+    counters take no part in equality.
     """
 
     raw_sets: int
@@ -65,9 +75,8 @@ class ResolveResult:
 
     ``basis`` is the lexicographically least minimum resolving set (by label
     order). ``all_bases`` is the complete list of minimum resolving sets when
-    enumeration was requested, None otherwise. ``stats`` describes the
-    branch-and-bound solve (None for the enumeration method); it takes no
-    part in equality.
+    enumeration was requested, None otherwise. ``stats`` describes the exact
+    solve (None for the enumeration method); it takes no part in equality.
     """
 
     dimension: int
@@ -361,19 +370,48 @@ def _minimal_masks(sets: list[int]) -> list[int]:
 def _components(masks: list[int]) -> list[list[int]]:
     """Group the masks into connected components over shared candidates.
 
-    A hitting set splits into independent parts, one per component.
+    A hitting set splits into independent parts, one per component. Each part grows
+    from the last mask left, taking every mask that meets its union, until a pass
+    takes none; parts come out in the order of their last masks.
     """
-    groups: list[tuple[int, list[int]]] = []
-    for m in masks:
-        union, members, apart = m, [m], []
-        for g_union, g_members in groups:
-            if g_union & m:
-                union |= g_union
-                members += g_members
-            else:
-                apart.append((g_union, g_members))
-        groups = apart + [(union, members)]
-    return [members for _, members in groups]
+    parts = []
+    rest = masks[::-1]
+    while rest:
+        union, part, taken = rest[0], [], -1
+        while taken != len(part):
+            taken, apart = len(part), []
+            for m in rest:
+                if m & union:
+                    union |= m
+                    part.append(m)
+                else:
+                    apart.append(m)
+            rest = apart
+        parts.append(part)
+    return parts[::-1]
+
+
+def _cover_least(masks: list[int]) -> list[int]:
+    """The lex-least minimum hitting set, from the sets every subset of positions covers.
+
+    Column ``j`` marks, in words over the sets, those the ``j``-th highest position hits.
+    Doubling gives each subset's covered sets at an index with bit ``j`` for that
+    position; the last subset, every position, covers every set. Of the subsets that
+    cover every set with the fewest positions, the lex-least holds the least position
+    of any symmetric difference, the highest differing bit, so it has the largest index.
+    Masks go through bytes, as a component may use positions past bit 63.
+    """
+    positions = _positions(reduce(or_, masks))[::-1]
+    width = positions[0] // 8 + 1
+    flat = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    hit = np.unpackbits(flat.reshape(len(masks), width), axis=1, bitorder="little")
+    columns = _packed_words(hit[:, positions].T.view(bool))
+    cover = np.zeros((1 << len(positions), columns.shape[1]), columns.dtype)
+    for j, column in enumerate(columns):
+        np.bitwise_or(cover[: 1 << j], column, out=cover[1 << j : 2 << j])
+    index = np.flatnonzero((cover == cover[-1]).all(axis=1))
+    sizes = np.bitwise_count(index)
+    return sorted(positions[j] for j in _positions(int(index[sizes == sizes.min()][-1])))
 
 
 def _solve_component(masks: list[int], limit: int) -> tuple[list[int], _Memo]:
@@ -384,7 +422,8 @@ def _solve_component(masks: list[int], limit: int) -> tuple[list[int], _Memo]:
     least common point. Otherwise the process-wide memo is keyed by the sets shifted
     down to their least position, sorted, so one family has one key; a shift keeps the
     order of positions, so it keeps the lex-least witness, stored as offsets. A new
-    component gets the size search and the witness reconstruction, sharing one table,
+    component of 8 to 12 positions is solved by :func:`_cover_least`, with no search;
+    any other gets the size search and the witness reconstruction, sharing one table,
     which is returned for its counters.
     """
     memo = _Memo()
@@ -398,8 +437,11 @@ def _solve_component(masks: list[int], limit: int) -> tuple[list[int], _Memo]:
     if held is not None:
         memo.reused = 1
         return [low + k for k in pickle.loads(held)], memo
-    size = _min_hitting_set_size(masks, limit, memo)
-    witness = _lex_least_hitting_set(masks, size, memo)
+    if union.bit_count() in _COVER_POSITIONS:
+        witness = _cover_least(masks)
+    else:
+        size = _min_hitting_set_size(masks, limit, memo)
+        witness = _lex_least_hitting_set(masks, size, memo)
     _TABLES.store(key, [k - low for k in witness])
     return witness, memo
 
@@ -408,17 +450,40 @@ def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
     """Label-sorted points and the minimal distinguisher sets of a finite table.
 
     Rows are sorted (a 1-D sort for one word) and deduplicated before any int; zero sorts first.
+    More than ``_NUMPY_FILTER_SETS`` distinct one-word rows drop supersets in :func:`_minimal_rows`.
     """
     labels, words = _separator_words(space)
     if words.shape[1] == 1:
         rows = np.sort(words, axis=None)
-        masks = rows[np.concatenate(([True], rows[1:] != rows[:-1]))].tolist()
+        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+        if rows[0] and len(rows) > _NUMPY_FILTER_SETS:
+            return labels, _minimal_rows(rows)
+        masks = rows.tolist()
     else:
         rows = words[np.lexsort(words.T)]
         masks = _word_masks(rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))])
     if not masks[0]:
         _require_distinguishable(labels, ~words.any(axis=1))
     return labels, _minimal_masks(masks)
+
+
+def _minimal_rows(rows: np.ndarray) -> list[int]:
+    """:func:`_minimal_masks` of distinct one-word sets in value order, one size class at a time.
+
+    The smallest class left is minimal, as sets of one size cannot hold one another;
+    one broadcast AND drops every larger set that holds a member of it.
+    """
+    sizes = np.bitwise_count(rows)
+    order = np.argsort(sizes, kind="stable")
+    rows, sizes = rows[order], sizes[order]
+    minimal = []
+    while len(rows):
+        k = np.searchsorted(sizes, sizes[0], "right")
+        least, rows, sizes = rows[:k], rows[k:], sizes[k:]
+        minimal.append(least)
+        keep = ((rows[:, None] & least) != least).all(axis=1)
+        rows, sizes = rows[keep], sizes[keep]
+    return np.concatenate(minimal).tolist()
 
 
 def _least_basis(
@@ -540,13 +605,14 @@ def metric_dimension(
 
     method "bnb" (default) reduces the pair table to its minimal distinct
     distinguisher sets, splits them into components over shared candidates,
-    and solves each component by branch and bound, then reconstructs its
-    least witness. Two minimum bases compare by the least point of their
-    symmetric difference, which lies in one component, so the union of the
-    component witnesses is the least basis. method "enumeration" is the
-    independent oracle: it tries subsets in lexicographic order by
-    increasing size, checking :func:`resolves` directly, and is only meant
-    for small spaces.
+    and solves each component: one of 8 to 12 positions by covering every
+    subset of them at once, any other by branch and bound, then the
+    reconstruction of its least witness. Two minimum bases compare by the
+    least point of their symmetric difference, which lies in one component,
+    so the union of the component witnesses is the least basis. method
+    "enumeration" is the independent oracle: it tries subsets in
+    lexicographic order by increasing size, checking :func:`resolves`
+    directly, and is only meant for small spaces.
 
     With ``enumerate_all`` the complete list of minimum bases is returned as
     well; that walk over all subsets of the optimal size is exponential, so

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lexmetric import resolving as resolving_module, space as space_module
 from lexmetric.construct import (
@@ -35,12 +35,14 @@ from lexmetric.resolving import (
     SolveStats,
     _Memo,
     _components,
+    _cover_least,
     _distinguisher_sets,
     _least_basis,
     _lex_least_hitting_set,
     _min_hitting_set_size,
     _minimal_family,
     _minimal_masks,
+    _minimal_rows,
     _packed_words,
     _packing_lower_bound,
     _positions,
@@ -628,6 +630,169 @@ def test_interleaved_components():
     components = _components(_minimal_masks(sets))
     assert sorted(sorted(c) for c in components) == [[0b101, 0b10100], [0b1010]]
     assert kernel_witness(sets) == [1, 2]
+
+
+def components_oracle(masks: list[int]) -> list[list[int]]:
+    """The merge loop ``_components`` replaced: each mask joins every group it meets,
+    and the merged group moves to the end."""
+    groups: list[tuple[int, list[int]]] = []
+    for m in masks:
+        union, members, apart = m, [m], []
+        for g_union, g_members in groups:
+            if g_union & m:
+                union |= g_union
+                members += g_members
+            else:
+                apart.append((g_union, g_members))
+        groups = apart + [(union, members)]
+    return [members for _, members in groups]
+
+
+# Sets of one to three positions below 80, so a family splits into a few components,
+# some of them past one 64-bit word.
+sparse_masks = st.sets(st.integers(0, 79), min_size=1, max_size=3).map(
+    lambda positions: sum(1 << q for q in positions)
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(sparse_masks, max_size=40, unique=True))
+@example([0b101, 0b10100, 0b1010])
+def test_components_match_the_merge_loop(masks):
+    """The same components, each of the same sets, in the same order."""
+    assert [sorted(part) for part in _components(masks)] == [
+        sorted(part) for part in components_oracle(masks)
+    ]
+
+
+def plain_search_witness(sets: list[int]) -> list[int]:
+    """The size search and witness reconstruction the cover replaces, on a fresh table."""
+    memo = _Memo()
+    size = _min_hitting_set_size(sets, reduce(or_, sets).bit_count(), memo)
+    return _lex_least_hitting_set(sets, size, memo)
+
+
+# Nine positions reaching past bit 63: a component of a table of more than 64 points.
+WIDE = [0, 2, 5, 9, 30, 66, 68, 70, 71]
+# Every 3-subset: 84 sets, more than one word of columns; the least 7 positions hit them.
+WIDE_TRIPLES = [sum(1 << q for q in c) for c in itertools.combinations(WIDE, 3)]
+# The 9-cycle on WIDE: a least vertex cover.
+WIDE_CYCLE = [1 << a | 1 << b for a, b in zip(WIDE, WIDE[1:] + WIDE[:1])]
+
+
+def test_cover_takes_positions_past_one_word():
+    """Masks wider than 64 bits: the cover, and a component solve through it, with no search."""
+    assert _cover_least(WIDE_TRIPLES) == WIDE[:7] == plain_search_witness(WIDE_TRIPLES)
+    assert _cover_least(WIDE_CYCLE) == [0, 2, 9, 66, 70] == plain_search_witness(WIDE_CYCLE)
+    for family in (WIDE_TRIPLES, WIDE_CYCLE):
+        part, memo = _solve_component(family, len(WIDE))
+        assert part == _cover_least(family)
+        assert (memo.nodes, memo.hits, memo.prunes) == (0, 0, 0)
+
+
+@st.composite
+def cover_families(draw):
+    """Families of up to 100 sets of one to four positions over 8 to 12 positions below
+    140, every position in some set."""
+    positions = sorted(draw(st.sets(st.integers(0, 139), min_size=8, max_size=12)))
+    subsets = st.sets(st.sampled_from(positions), min_size=1, max_size=4)
+    masks = [sum(1 << q for q in s) for s in draw(st.lists(subsets, min_size=1, max_size=100))]
+    for q in positions:
+        if not any(m >> q & 1 for m in masks):
+            masks[draw(st.integers(0, len(masks) - 1))] |= 1 << q
+    return masks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cover_families())
+@example(WIDE_TRIPLES)
+@example(WIDE_CYCLE)
+@example([m << 60 for m in TRIPLES_OF_FIVE] + [0b111 << 65, 0b111 << 67])
+def test_cover_agrees_with_the_size_search(sets):
+    assert _cover_least(sets) == plain_search_witness(sets)
+
+
+@st.composite
+def complete_base_products(draw):
+    """``K_k o G`` of 8 to 12 points for a seeded connected graph ``G``: the base points
+    are all twins, so fibers merge into components of 8 to 12 positions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 4))
+    second = random_connected_graph(rng, draw(st.integers(-(-8 // k), 12 // k)), prefix="y")
+    return lexicographic(graph_metric(complete_graph(k)), graph_metric(second)).space
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(complete_base_products())
+def test_cover_agrees_with_enumeration(space):
+    """The solve equals the enumeration oracle, and the cover runs exactly when a
+    component of 8 to 12 positions holds no common point."""
+    resolving_module._TABLES.clear()
+    covered = [
+        part for part in _components(_minimal_family(space)[1])
+        if reduce(or_, part).bit_count() in range(8, 13) and not reduce(and_, part)
+    ]
+    with mock.patch.object(resolving_module, "_cover_least", wraps=_cover_least) as cover:
+        fast = metric_dimension(space)
+    oracle = metric_dimension(space, method="enumeration")
+    assert (fast.dimension, fast.basis) == (oracle.dimension, oracle.basis)
+    assert cover.called == bool(covered)
+
+
+def test_a_twelve_position_component_never_searches(monkeypatch):
+    """K4 o W3: one component of 28 sets over all 12 points, solved with no search."""
+    w3 = FiniteMetricSpace(("y1", "y2", "y3"), [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+    product = lexicographic(K4, w3).space
+    oracle = metric_dimension(product, method="enumeration")
+
+    def no_search(*args):
+        raise AssertionError("the size search ran")
+
+    monkeypatch.setattr(resolving_module, "_search", no_search)
+    result = metric_dimension(product)
+    assert (result.dimension, result.basis) == (oracle.dimension, oracle.basis)
+    assert dataclasses.astuple(result.stats) == (66, 28, 1, 0, 0, 0, 0)
+
+
+def test_wide_twin_rich_table_covers_as_the_search_solves():
+    """72 points, six twin pairs with fibers of G: one pair's fiber is capped apart from
+    the rest, so its component, over positions 30-35 and 66-71, is covered on its own.
+    The answer is the one branch and bound gives with the cover switched off."""
+    labels = [f"{c}{i}" for i in range(1, 7) for c in "ab"]
+    table = np.full((12, 12), 4.0)
+    np.fill_diagonal(table, 0.0)
+    for i, inner in enumerate([2, 2, 2, 2, 2, 1]):
+        table[2 * i, 2 * i + 1] = table[2 * i + 1, 2 * i] = inner
+    second = graph_metric(random_connected_graph(np.random.default_rng(1), 6, prefix="y"))
+    product = lexicographic(FiniteMetricSpace(tuple(labels), table), second).space
+    with mock.patch.object(resolving_module, "_cover_least", wraps=_cover_least) as cover:
+        covered = metric_dimension(product)
+    assert max(reduce(or_, call.args[0]).bit_length() for call in cover.call_args_list) == 72
+    assert covered.stats.nodes == 0
+    resolving_module._TABLES.clear()
+    with mock.patch.object(resolving_module, "_COVER_POSITIONS", range(0)):
+        searched = metric_dimension(product)
+    assert searched.stats.nodes > 0
+    assert (covered.dimension, covered.basis) == (searched.dimension, searched.basis)
+    assert covered.stats == searched.stats
+    assert resolves(product, covered.basis)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(100, 700),
+    st.integers(16, 64),
+    st.floats(0.1, 0.5),
+)
+def test_numpy_superset_filter_matches_the_python_scan(seed, count, width, density):
+    """Random one-word families of 100 to 700 distinct sets, of any density."""
+    rng = np.random.default_rng(seed)
+    rows = np.unique(_packed_words(rng.random((2 * count, width)) < density)[:, 0])
+    rows = rng.permutation(rows[rows != 0])[:count]
+    assume(len(rows) >= 100)
+    rows.sort()
+    assert _minimal_rows(rows) == _minimal_masks(rows.tolist())
 
 
 @st.composite
