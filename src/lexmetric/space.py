@@ -336,6 +336,8 @@ def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
     if not isinstance(obj["points"], list):
         raise ValueError('"points" must be a list of labels')
     tolerance = obj.get("tolerance", DEFAULT_TOLERANCE)
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+        raise ValueError('"tolerance" must be a number')
     return FiniteMetricSpace(
         points=tuple(obj["points"]), dist=obj["d"], tolerance=float(tolerance), name=name
     )

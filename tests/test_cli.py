@@ -1,12 +1,16 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexmetric
 from lexmetric import resolving
 from lexmetric.cli import main
 from lexmetric.space import FiniteMetricSpace, save_space, space_from_json, validate
@@ -322,13 +326,17 @@ class TestErrors:
 
 
 # Pinned output of every subcommand, in text and --json mode, with the exit
-# codes 1 and 2. Each command runs with the working directory set to
-# tests/golden, so the relative input paths in argv and in error messages
-# stay the same on every machine. A case's stdout is pinned in NAME.out and
-# its stderr in NAME.err where one exists; argparse's own usage errors have
-# no .err file, because their wording differs between Python versions.
-# To regenerate a file after an intended change, run the command from
-# tests/golden, for example
+# codes 1 and 2. Each row runs as its own process (python -m lexmetric.cli),
+# and then every row runs twice in one process, from a cold memo and then a
+# warm one. Commands run with the working directory set to tests/golden, so
+# the relative input paths in argv and in error messages stay the same on
+# every machine. A row's stdout is pinned in NAME.out and its stderr in
+# NAME.err where one exists; a row that exits 0 or 1 without a NAME.err must
+# write nothing to stderr. Argparse's own usage errors have no .err file,
+# because their wording differs between Python versions.
+# To add a case, add a row (name, argv, exit code) below, put any new input
+# file in tests/golden, and write NAME.out (and NAME.err for an error) by
+# running the command from tests/golden, for example
 #   PYTHONPATH=../../src python -m lexmetric.cli dim c5.edges --json > dim-c5-json.out
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = [
@@ -399,6 +407,7 @@ GOLDEN = [
     ("error-verify-k2-negative", "verify k2.json negative.json", 2),
     ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),
     ("error-tolerance-inf", "stats p4.edges --tolerance inf", 2),
+    ("error-tolerance-null", "stats tolerance-null.json", 2),
     ("error-unknown-command", "frobnicate", 2),
     ("error-no-arguments", "", 2),
     ("error-gravitate-needs-t", "gravitate p4.edges", 2),
@@ -407,14 +416,30 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("name, command, code", GOLDEN, ids=[case[0] for case in GOLDEN])
-def test_golden_output(capsys, monkeypatch, name, command, code):
-    monkeypatch.chdir(GOLDEN_DIR)
-    got_code, out, err = run(capsys, command.split())
-    assert (got_code, out) == (code, (GOLDEN_DIR / f"{name}.out").read_text())
+# Where lexmetric was imported from, absolute: a relative PYTHONPATH such as
+# src does not hold under the golden working directory.
+_SRC_DIR = str(Path(lexmetric.__file__).resolve().parent.parent)
+
+
+def _assert_golden(name, code, got_code, out, err):
+    assert (got_code, out) == (code, (GOLDEN_DIR / f"{name}.out").read_text()), name
     err_file = GOLDEN_DIR / f"{name}.err"
     if err_file.exists():
-        assert err == err_file.read_text()
+        assert err == err_file.read_text(), name
+    elif code in (0, 1):
+        assert err == "", name
+
+
+@pytest.mark.parametrize("name, command, code", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_golden_output(name, command, code):
+    done = subprocess.run(
+        [sys.executable, "-m", "lexmetric.cli", *command.split()],
+        cwd=GOLDEN_DIR,
+        env={**os.environ, "PYTHONPATH": _SRC_DIR},
+        capture_output=True,
+        text=True,
+    )
+    _assert_golden(name, code, done.returncode, done.stdout, done.stderr)
 
 
 def test_golden_output_is_the_same_on_a_warm_memo(capsys, monkeypatch):
@@ -424,8 +449,4 @@ def test_golden_output_is_the_same_on_a_warm_memo(capsys, monkeypatch):
     for warm in (False, True):
         assert any(type(pickle.loads(key)) is list for key in resolving._TABLES) == warm
         for name, command, code in GOLDEN:
-            got_code, out, err = run(capsys, command.split())
-            assert (got_code, out) == (code, (GOLDEN_DIR / f"{name}.out").read_text()), name
-            err_file = GOLDEN_DIR / f"{name}.err"
-            if err_file.exists():
-                assert err == err_file.read_text(), name
+            _assert_golden(name, code, *run(capsys, command.split()))

@@ -58,6 +58,17 @@ class TestGraphMetric:
         with pytest.raises(DisconnectedGraphError, match="'a' to 'c'"):
             graph_metric(g)
 
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="duplicate vertex labels"):
+            Graph(("a", "b", "a"), (("a", "b", 1.0),))
+
+    def test_two_tuple_edge_has_weight_one(self):
+        assert Graph(("a", "b"), (("a", "b"),)).edges == (("a", "b", 1.0),)
+
+    def test_rejects_undeclared_vertex(self):
+        with pytest.raises(ValueError, match=r"edge \('a', 'c'\) uses an undeclared vertex"):
+            Graph(("a", "b"), (("a", "c", 1.0),))
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(("a", "b"), (("a", "a", 1.0),))
@@ -74,6 +85,20 @@ class TestGraphMetric:
         s = graph_metric(cycle_graph(6))
         assert np.array_equal(s.dist, np.round(s.dist))
 
+    @pytest.mark.parametrize(
+        "build, n, message",
+        [
+            (path_graph, 1, "2..26"),
+            (path_graph, 27, "2..26"),
+            (cycle_graph, 2, "at least three"),
+            (complete_graph, 1, "at least two"),
+        ],
+        ids=["path-1", "path-27", "cycle-2", "complete-1"],
+    )
+    def test_named_graphs_refuse_sizes_outside_their_range(self, build, n, message):
+        with pytest.raises(ValueError, match=message):
+            build(n)
+
 
 class TestEdgeListFormat:
     def test_basic_parse(self):
@@ -86,6 +111,10 @@ class TestEdgeListFormat:
         assert "z" in g.vertices
         with pytest.raises(DisconnectedGraphError):
             graph_metric(g)
+
+    def test_malformed_node_line_names_line(self):
+        with pytest.raises(ValueError, match="bad.edges, line 2: expected 'node NAME'"):
+            parse_edge_list("a b\nnode x y\n", source="bad.edges")
 
     def test_error_names_line(self):
         with pytest.raises(ValueError, match="line 2"):

@@ -284,6 +284,10 @@ class TestMetricDimension:
         with pytest.raises(ValueError, match="indistinguishable"):
             metric_dimension(NEAR_DUPLICATE)
 
+    def test_enumeration_on_indistinguishable_points_raises(self):
+        with pytest.raises(ValueError, match="no resolving set found"):
+            metric_dimension(NEAR_DUPLICATE, method="enumeration")
+
     def test_stats_describe_the_reduction_and_stay_out_of_equality(self):
         # Only the diagonals {v1, v3} and {v2, v4} are left, and they share no
         # point: each is a component answered with one point, without a search.

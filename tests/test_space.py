@@ -34,6 +34,11 @@ from lexmetric.space import (
 from lexmetric.theory import random_metric_space
 
 P3_TABLE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+K2_TABLE = [[0, 1], [1, 0]]
+# JSON values that are not numbers; a bool and a numeric string included.
+NOT_NUMBERS = {
+    "null": None, "list": [1e-9], "object": {"value": 1e-9}, "bool": True, "string": "1e-6"
+}
 
 
 def p3():
@@ -84,6 +89,11 @@ class TestConstruction:
     def test_unknown_point(self):
         with pytest.raises(KeyError, match="unknown point"):
             p3().d("a", "z")
+
+    def test_repr_shows_the_name_only_when_set(self):
+        assert repr(p3()) == "FiniteMetricSpace(n=3, points=['a', 'b', 'c'])"
+        named = FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], name="k2.json")
+        assert repr(named) == "FiniteMetricSpace(n=2, points=['a', 'b'], name='k2.json')"
 
 
 class TestValidate:
@@ -215,6 +225,29 @@ class TestJsonFormat:
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="missing"):
             space_from_json({"points": ["a", "b"]})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([["a", "b"], K2_TABLE], "JSON object"),
+            # A string would otherwise be split into one label per character.
+            ({"points": "ab", "d": K2_TABLE}, '"points" must be a list'),
+            *[
+                (dict(points=["a", "b"], d=K2_TABLE, tolerance=bad), '"tolerance" must be a number')
+                for bad in NOT_NUMBERS.values()
+            ],
+        ],
+        ids=["array", "points-string", *(f"tolerance-{kind}" for kind in NOT_NUMBERS)],
+    )
+    def test_rejects_a_malformed_document(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            space_from_json(doc)
+
+    def test_load_names_file_on_a_bad_document(self, tmp_path):
+        path = tmp_path / "keys.json"
+        path.write_text('{"points": ["a", "b"]}')
+        with pytest.raises(ValueError, match=r"keys\.json: metric document is missing"):
+            load_space(str(path))
 
     def test_load_names_file_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

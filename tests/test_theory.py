@@ -208,6 +208,18 @@ class TestCorpusGenerators:
         for n in (2, 3, 5, 7):
             graph_metric(random_connected_graph(rng, n))
 
+    @pytest.mark.parametrize(
+        "draw, message",
+        [
+            (random_connected_graph, "^need at least two vertices$"),
+            (random_metric_space, "^need at least two points$"),
+        ],
+        ids=["graph", "metric-space"],
+    )
+    def test_random_draws_refuse_one_point(self, draw, message):
+        with pytest.raises(ValueError, match=message):
+            draw(np.random.default_rng(0), 1)
+
     def test_random_pairs_are_reproducible_and_guarded(self):
         first = random_pairs(123, 10)
         second = random_pairs(123, 10)
