@@ -220,10 +220,8 @@ def cmd_verify(args, base, second):
 
 def cmd_corpus(args):
     pairs = random_pairs(args.seed, args.count, args.max_product_points)
-    failures = 0
-    checks = 0
-    docs = []
-    text = []
+    failures = checks = 0
+    docs, text = [], []
     for i, (base, second) in enumerate(pairs, start=1):
         reports = verify_all(base, second, args.max_product_points)
         run = [r for r in reports if not r.skipped]
@@ -251,13 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
-        "--tolerance", type=float, default=None, help="override the comparison tolerance"
-    )
+    common.add_argument("--tolerance", type=float, help="override the comparison tolerance")
     common.add_argument(
         "--format",
         choices=["json", "edges"],
-        default=None,
         help="force input format instead of inferring from the extension",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -48,17 +48,13 @@ class Graph:
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
             if not 0 < w < np.inf:
-                raise ValueError(
-                    f"edge ({u!r}, {v!r}) has non-positive or non-finite weight {w}"
-                )
+                raise ValueError(f"edge ({u!r}, {v!r}) has non-positive or non-finite weight {w}")
             edges.append((u, v, w))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(edges))
 
     @classmethod
-    def from_edges(
-        cls, edges: Iterable[tuple], extra_vertices: Iterable[str] = ()
-    ) -> "Graph":
+    def from_edges(cls, edges: Iterable[tuple], extra_vertices: Iterable[str] = ()) -> "Graph":
         """Build a graph with the vertex set inferred in order of first appearance."""
         edges = tuple(edges)
         seen = dict.fromkeys(str(v) for e in edges for v in e[:2])
@@ -326,9 +322,7 @@ def fiber(product: ProductSpace, x: str) -> FiniteMetricSpace:
     """
     if x not in product.base_points:
         raise KeyError(f"unknown base point {x!r}")
-    labels = [
-        lbl for lbl in product.space.points if product.base_of[lbl] == x
-    ]
+    labels = [lbl for lbl in product.space.points if product.base_of[lbl] == x]
     idx = [product.space.index(lbl) for lbl in labels]
     table = product.space.dist[np.ix_(idx, idx)]
     return FiniteMetricSpace(

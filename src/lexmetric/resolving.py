@@ -7,9 +7,9 @@ pair apart, then hit every one of those sets. Each set is packed into 64-bit
 words over the label-sorted points, where duplicates are dropped, and each
 distinct set is an ``int`` bitmask from there to the witness. The exact
 solver then drops supersets and solves each group of sets that share no point
-with the others on its own: a group over 8 to 12 points by covering every
-subset of them at once, any other by branch and bound. An independent
-subset-enumeration solver is kept behind a flag as its oracle.
+with the others on its own: a group over 8 to 18 points from the subsets of them
+that miss some set, all marked at once, any other by branch and bound. An
+independent subset-enumeration solver is kept behind a flag as its oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +30,13 @@ DEFAULT_ENUMERATION_CAP = 16
 _MEMO_BYTES = 64 << 20
 # An entry's dict slot beyond its two strings, with the spare room a dict keeps after growing.
 _ENTRY_BYTES = 160
-# Components of this many positions are solved by covering every subset at once:
-# measured per component, the cover beat branch and bound from 8 positions to 12 and
-# lost below 8 and at 16, where its table has 2**16 rows.
-_COVER_POSITIONS = range(8, 13)
+# Components of this many positions are solved by :func:`_cover_least`, with no search.
+# Median us per twin-rich K_k o G component (k = 2-6, G on 3-6 vertices, best of 3);
+# past 18 positions the cover's ints of 2**p bits are the cost that grows fastest:
+#   positions          8    10    12     15     16     18     20
+#   cover             40    44    61    133    268    703  3,072
+#   branch and bound 169   233   413  1,294  1,381  2,392  4,933
+_COVER_POSITIONS = range(8, 19)
 # One-word families past this many distinct sets drop supersets in numpy, which
 # measured slower than the Python scan up to about 128 sets and faster past it.
 _NUMPY_FILTER_SETS = 128
@@ -52,12 +55,11 @@ class SolveStats:
     ``components`` the independent groups those split into. ``nodes`` and
     ``memo_hits`` count the branching nodes searched and those answered from
     a component's table, and ``prunes`` the searches cut by the packing
-    bound; all three are summed over components. A component of 8 to 12
-    positions is solved by covering every subset at once and adds none of
-    them. ``reused`` counts the components answered from the process-wide
-    memo, with no search; when the whole reduced family was met before, every
-    component counts as reused and the other three counters are 0. The four
-    counters take no part in equality.
+    bound; all three are summed over components. A component of 8 to 18
+    positions is solved by :func:`_cover_least` and adds none of them. ``reused``
+    counts the components answered from the process-wide memo, with no search;
+    when the whole reduced family was met before, every component counts as
+    reused and the other three counters are 0. The four take no part in equality.
     """
 
     raw_sets: int
@@ -391,27 +393,44 @@ def _components(masks: list[int]) -> list[list[int]]:
     return parts[::-1]
 
 
-def _cover_least(masks: list[int]) -> list[int]:
-    """The lex-least minimum hitting set, from the sets every subset of positions covers.
+@lru_cache(maxsize=None)
+def _subset_tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Subsets of ``p`` positions as the bits of an int, subset ``s`` at bit ``s``: per
+    position ``j`` those without bit ``j``, and per size ``k`` those of ``k`` positions.
+    Each is the table of ``p - 1`` positions twice, the new position in the upper copy."""
+    if not p:
+        return (), (1,)
+    without, by_size = _subset_tables(p - 1)
+    half = 1 << (p - 1)
+    without = (*(w | w << half for w in without), (1 << half) - 1)
+    return without, tuple(a | b << half for a, b in zip((*by_size, 0), (0, *by_size)))
 
-    Column ``j`` marks, in words over the sets, those the ``j``-th highest position hits.
-    Doubling gives each subset's covered sets at an index with bit ``j`` for that
-    position; the last subset, every position, covers every set. Of the subsets that
-    cover every set with the fewest positions, the lex-least holds the least position
-    of any symmetric difference, the highest differing bit, so it has the largest index.
-    Masks go through bytes, as a component may use positions past bit 63.
+
+def _cover_least(masks: list[int]) -> list[int]:
+    """The lex-least minimum hitting set, from the subsets of positions that miss some set.
+
+    Subset ``s`` has bit ``j`` for the ``j``-th highest position. A subset misses a set
+    exactly when it lies in the set's complement, so each complement is marked missing,
+    and the mark spreads to every subset by dropping one position at a time. Of the subsets
+    of the least size left, the lex-least holds the least position of any symmetric
+    difference, the highest differing bit, so it is the highest. Masks go through bytes,
+    as a component may use positions past bit 63.
     """
     positions = _positions(reduce(or_, masks))[::-1]
     width = positions[0] // 8 + 1
     flat = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
     hit = np.unpackbits(flat.reshape(len(masks), width), axis=1, bitorder="little")
-    columns = _packed_words(hit[:, positions].T.view(bool))
-    cover = np.zeros((1 << len(positions), columns.shape[1]), columns.dtype)
-    for j, column in enumerate(columns):
-        np.bitwise_or(cover[: 1 << j], column, out=cover[1 << j : 2 << j])
-    index = np.flatnonzero((cover == cover[-1]).all(axis=1))
-    sizes = np.bitwise_count(index)
-    return sorted(positions[j] for j in _positions(int(index[sizes == sizes.min()][-1])))
+    p = len(positions)
+    marks = bytearray((1 << p) + 7 >> 3)
+    for code in ((hit[:, positions] == 0) @ (1 << np.arange(p))).tolist():
+        marks[code >> 3] |= 1 << (code & 7)
+    missing = int.from_bytes(marks, "little")
+    without, by_size = _subset_tables(p)
+    for j, rest in enumerate(without):
+        missing |= (missing >> (1 << j)) & rest
+    covering = ((1 << (1 << p)) - 1) ^ missing
+    least = next(fits for level in by_size if (fits := level & covering))
+    return sorted(positions[j] for j in _positions(least.bit_length() - 1))
 
 
 def _solve_component(masks: list[int], limit: int) -> tuple[list[int], _Memo]:
@@ -422,7 +441,7 @@ def _solve_component(masks: list[int], limit: int) -> tuple[list[int], _Memo]:
     least common point. Otherwise the process-wide memo is keyed by the sets shifted
     down to their least position, sorted, so one family has one key; a shift keeps the
     order of positions, so it keeps the lex-least witness, stored as offsets. A new
-    component of 8 to 12 positions is solved by :func:`_cover_least`, with no search;
+    component of 8 to 18 positions is solved by :func:`_cover_least`, with no search;
     any other gets the size search and the witness reconstruction, sharing one table,
     which is returned for its counters.
     """
@@ -605,8 +624,8 @@ def metric_dimension(
 
     method "bnb" (default) reduces the pair table to its minimal distinct
     distinguisher sets, splits them into components over shared candidates,
-    and solves each component: one of 8 to 12 positions by covering every
-    subset of them at once, any other by branch and bound, then the
+    and solves each component: one of 8 to 18 positions from the subsets of
+    them that miss some set, any other by branch and bound, then the
     reconstruction of its least witness. Two minimum bases compare by the
     least point of their symmetric difference, which lies in one component,
     so the union of the component witnesses is the least basis. method
@@ -636,11 +655,8 @@ def metric_dimension(
         dimension = len(found)
         all_bases = None
         if enumerate_all:
-            all_bases = tuple(
-                combo
-                for combo in itertools.combinations(candidates, dimension)
-                if resolves(space, combo)
-            )
+            combos = itertools.combinations(candidates, dimension)
+            all_bases = tuple(combo for combo in combos if resolves(space, combo))
         return ResolveResult(dimension, found, all_bases)
 
     return _least_basis(space, _minimal_family(space), np.zeros((0, space.n), bool), enumerate_all)

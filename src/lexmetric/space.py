@@ -52,6 +52,8 @@ class FiniteMetricSpace:
             dist = np.array(self.dist, dtype=float)
         except (TypeError, ValueError):
             raise ValueError("distance table is not a rectangular numeric table") from None
+        except OverflowError:
+            raise ValueError("distance table has an entry too large for a float") from None
         if len(points) < 2:
             raise ValueError(f"a metric space needs at least two points, got {len(points)}")
         if len(set(points)) != len(points):
@@ -338,9 +340,10 @@ def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
     tolerance = obj.get("tolerance", DEFAULT_TOLERANCE)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
         raise ValueError('"tolerance" must be a number')
-    return FiniteMetricSpace(
-        points=tuple(obj["points"]), dist=obj["d"], tolerance=float(tolerance), name=name
-    )
+    try:  # the table's own overflow is a ValueError already
+        return FiniteMetricSpace(tuple(obj["points"]), obj["d"], float(tolerance), name)
+    except OverflowError:
+        raise ValueError('"tolerance" is too large for a float') from None
 
 
 def load_space(path: str) -> FiniteMetricSpace:

@@ -1,10 +1,12 @@
 """Command-line behavior: subcommands, formats, exit codes, determinism."""
 
+import functools
 import json
 import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -327,13 +329,13 @@ class TestErrors:
 
 # Pinned output of every subcommand, in text and --json mode, with the exit
 # codes 1 and 2. Each row runs as its own process (python -m lexmetric.cli),
-# and then every row runs twice in one process, from a cold memo and then a
-# warm one. Commands run with the working directory set to tests/golden, so
-# the relative input paths in argv and in error messages stay the same on
-# every machine. A row's stdout is pinned in NAME.out and its stderr in
-# NAME.err where one exists; a row that exits 0 or 1 without a NAME.err must
-# write nothing to stderr. Argparse's own usage errors have no .err file,
-# because their wording differs between Python versions.
+# one per CPU at a time, and then every row runs twice in one process, from a
+# cold memo and then a warm one. Commands run with the working directory set
+# to tests/golden, so the relative input paths in argv and in error messages
+# stay the same on every machine. A row's stdout is pinned in NAME.out and its
+# stderr in NAME.err where one exists; a row that exits 0 or 1 without a
+# NAME.err must write nothing to stderr. Argparse's own usage errors have no
+# .err file, because their wording differs between Python versions.
 # To add a case, add a row (name, argv, exit code) below, put any new input
 # file in tests/golden, and write NAME.out (and NAME.err for an error) by
 # running the command from tests/golden, for example
@@ -380,6 +382,7 @@ GOLDEN = [
     ("verify-k2-k2-json", "verify k2.json k2.json --json", 0),
     ("verify-p4-k2", "verify p4.edges k2.json", 0),
     ("verify-k4-w3-json", "verify k4.edges w3.json --json", 0),
+    ("verify-k4-paw-json", "verify k4.edges paw.edges --json", 0),
     ("verify-p4-c5-dimension", "verify p4.edges c5.edges --theorem dimension", 0),
     ("verify-k2-w3-diameter", "verify k2.json w3.json --theorem diameter", 0),
     ("verify-c5-k2-squash", "verify c5.edges k2.json --theorem squash --json", 0),
@@ -408,6 +411,8 @@ GOLDEN = [
     ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),
     ("error-tolerance-inf", "stats p4.edges --tolerance inf", 2),
     ("error-tolerance-null", "stats tolerance-null.json", 2),
+    ("error-tolerance-huge", "stats tolerance-huge.json", 2),
+    ("error-table-huge", "stats table-huge.json", 2),
     ("error-unknown-command", "frobnicate", 2),
     ("error-no-arguments", "", 2),
     ("error-gravitate-needs-t", "gravitate p4.edges", 2),
@@ -430,15 +435,29 @@ def _assert_golden(name, code, got_code, out, err):
         assert err == "", name
 
 
+@functools.cache
+def _golden_processes() -> dict:
+    """Every row's process, queued in row order on one pool of a worker per CPU, by name."""
+    pool = ThreadPoolExecutor(os.cpu_count() or 1)
+    env = {**os.environ, "PYTHONPATH": _SRC_DIR}
+    runs = {
+        name: pool.submit(
+            subprocess.run,
+            [sys.executable, "-m", "lexmetric.cli", *command.split()],
+            cwd=GOLDEN_DIR,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        for name, command, _ in GOLDEN
+    }
+    pool.shutdown(wait=False)
+    return runs
+
+
 @pytest.mark.parametrize("name, command, code", GOLDEN, ids=[case[0] for case in GOLDEN])
 def test_golden_output(name, command, code):
-    done = subprocess.run(
-        [sys.executable, "-m", "lexmetric.cli", *command.split()],
-        cwd=GOLDEN_DIR,
-        env={**os.environ, "PYTHONPATH": _SRC_DIR},
-        capture_output=True,
-        text=True,
-    )
+    done = _golden_processes()[name].result()
     _assert_golden(name, code, done.returncode, done.stdout, done.stderr)
 
 

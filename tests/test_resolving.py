@@ -47,6 +47,7 @@ from lexmetric.resolving import (
     _packing_lower_bound,
     _positions,
     _solve_component,
+    _subset_tables,
     _word_masks,
     coordinates,
     greedy_generator,
@@ -696,9 +697,9 @@ def test_cover_takes_positions_past_one_word():
 
 @st.composite
 def cover_families(draw):
-    """Families of up to 100 sets of one to four positions over 8 to 12 positions below
+    """Families of up to 100 sets of one to four positions over 8 to 18 positions below
     140, every position in some set."""
-    positions = sorted(draw(st.sets(st.integers(0, 139), min_size=8, max_size=12)))
+    positions = sorted(draw(st.sets(st.integers(0, 139), min_size=8, max_size=18)))
     subsets = st.sets(st.sampled_from(positions), min_size=1, max_size=4)
     masks = [sum(1 << q for q in s) for s in draw(st.lists(subsets, min_size=1, max_size=100))]
     for q in positions:
@@ -716,6 +717,19 @@ def test_cover_agrees_with_the_size_search(sets):
     assert _cover_least(sets) == plain_search_witness(sets)
 
 
+@pytest.mark.parametrize("p", range(11))
+def test_subset_tables_match_a_popcount(p):
+    """Bit ``s`` of the tables of ``p`` positions, against subset ``s`` counted bit by bit."""
+    without, by_size = _subset_tables(p)
+    subsets = range(1 << p)
+    assert without == tuple(
+        sum(1 << s for s in subsets if not s >> j & 1) for j in range(p)
+    )
+    assert by_size == tuple(
+        sum(1 << s for s in subsets if bin(s).count("1") == k) for k in range(p + 1)
+    )
+
+
 @st.composite
 def complete_base_products(draw):
     """``K_k o G`` of 8 to 12 points for a seeded connected graph ``G``: the base points
@@ -730,11 +744,12 @@ def complete_base_products(draw):
 @given(complete_base_products())
 def test_cover_agrees_with_enumeration(space):
     """The solve equals the enumeration oracle, and the cover runs exactly when a
-    component of 8 to 12 positions holds no common point."""
+    component of ``_COVER_POSITIONS`` positions holds no common point."""
     resolving_module._TABLES.clear()
+    sizes = resolving_module._COVER_POSITIONS
     covered = [
         part for part in _components(_minimal_family(space)[1])
-        if reduce(or_, part).bit_count() in range(8, 13) and not reduce(and_, part)
+        if reduce(or_, part).bit_count() in sizes and not reduce(and_, part)
     ]
     with mock.patch.object(resolving_module, "_cover_least", wraps=_cover_least) as cover:
         fast = metric_dimension(space)
@@ -756,6 +771,27 @@ def test_a_twelve_position_component_never_searches(monkeypatch):
     result = metric_dimension(product)
     assert (result.dimension, result.basis) == (oracle.dimension, oracle.basis)
     assert dataclasses.astuple(result.stats) == (66, 28, 1, 0, 0, 0, 0)
+
+
+def test_a_sixteen_position_component_never_searches(monkeypatch):
+    """K4 o paw: one component of 66 sets over all 16 points, which branch and bound
+    took 77-101 nodes to solve; the cover gives its answer with no search."""
+    paw = graph_metric(Graph.from_edges([("u", "v"), ("u", "w"), ("v", "w"), ("w", "x")]))
+    product = lexicographic(K4, paw).space
+    with mock.patch.object(resolving_module, "_COVER_POSITIONS", range(0)):
+        searched = metric_dimension(product)
+    assert searched.stats.nodes > 0
+    assert searched.dimension == formula_rhs(K4, paw)
+    resolving_module._TABLES.clear()
+
+    def no_search(*args):
+        raise AssertionError("the size search ran")
+
+    monkeypatch.setattr(resolving_module, "_search", no_search)
+    result = metric_dimension(product)
+    assert (result.dimension, result.basis) == (searched.dimension, searched.basis)
+    assert resolves(product, result.basis)
+    assert dataclasses.astuple(result.stats) == (120, 66, 1, 0, 0, 0, 0)
 
 
 def test_wide_twin_rich_table_covers_as_the_search_solves():

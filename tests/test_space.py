@@ -76,6 +76,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             FiniteMetricSpace(("a", "a"), [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)])
+    def test_rejects_an_entry_too_large_for_a_float(self, huge):
+        with pytest.raises(ValueError, match="entry too large for a float"):
+            FiniteMetricSpace(("a", "b"), [[0, huge], [huge, 0]])
+
     def test_rejects_infinite_tolerance(self):
         # An infinite tolerance would make every pair of points indistinguishable.
         with pytest.raises(ValueError, match="tolerance"):
@@ -242,6 +247,18 @@ class TestJsonFormat:
     def test_rejects_a_malformed_document(self, doc, message):
         with pytest.raises(ValueError, match=message):
             space_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tolerance", 10**400, '"tolerance" is too large for a float'),
+            ("tolerance", -(10**400), '"tolerance" is too large for a float'),
+            ("d", [[0, 10**400], [10**400, 0]], "entry too large for a float"),
+        ],
+    )
+    def test_rejects_an_integer_too_large_for_a_float(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            space_from_json({"points": ["a", "b"], "d": K2_TABLE, key: value})
 
     def test_load_names_file_on_a_bad_document(self, tmp_path):
         path = tmp_path / "keys.json"

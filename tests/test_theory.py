@@ -110,6 +110,12 @@ class TestVerifyDiameter:
         assert report.passed
         assert report.rhs == 1.0
 
+    def test_exact_sides_pass_at_tolerance_zero(self):
+        """Equal sides are within a zero tolerance."""
+        exact = [graph_metric(path_graph(n), tolerance=0.0) for n in (3, 2)]
+        report = verify_diameter(*exact)
+        assert report.passed and report.lhs == report.rhs == 2.0
+
 
 class TestVerifyCorollaries:
     def test_twins_free_applies_to_p4(self):

@@ -162,6 +162,19 @@ class TestSpecialClasses:
         assert special.member_classes == ()
         assert special.counterexamples == {}
 
+    def test_an_entry_exactly_the_tolerance_off_the_gap_is_at_the_gap(self):
+        # Dyadic, so every difference is exact: each of the bases {y2} and {y3} has
+        # the other 1.25 away, exactly the tolerance 0.25 off the gap 1, which is not
+        # apart, so it is a far witness; the product's dimension agrees.
+        base = FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], tolerance=0.25)
+        second = FiniteMetricSpace(
+            ("y1", "y2", "y3"), [[0, 0.5, 0.5], [0.5, 0, 1.25], [0.5, 1.25, 0]], tolerance=0.25
+        )
+        special = special_classes(base, second)
+        assert special.member_classes == (("a", "b"),)
+        assert special.counterexamples == {}
+        assert metric_dimension(lexicographic(base, second).space).dimension == 3
+
     def test_path_fiber_center_is_the_witness(self):
         # The fiber bases are {a} and {c}; the center b sits at the gap 1
         # from either, so no basis fails.
