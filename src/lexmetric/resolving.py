@@ -562,7 +562,7 @@ class _TableMemo(dict):
     """Pickled results under pickled keys, dropped oldest first past ``_MEMO_BYTES``.
 
     A key is one of five kinds, all canonical: a table's :func:`~lexmetric.space._table_key`
-    tagged ``"base"`` (a base's statistics and twin partition) or ``"solve"`` (its
+    tagged ``"twins"`` (its :func:`~lexmetric.twins.twin_classes`) or ``"solve"`` (its
     :func:`_table_solve`), a special-class solve's ``(table key, gap, tol)``, a reduced
     family's sets in (size, value) order tagged ``"family"`` (its value: the least hitting
     set's positions and the component count), or a hitting-set component's sorted, shifted
@@ -578,7 +578,7 @@ class _TableMemo(dict):
     lock = threading.Lock()
 
     def recall(self, key: tuple, compute):
-        """What ``compute()`` gives, kept under ``key``."""
+        """What ``compute()`` gives, kept under ``key``; nothing is kept when it raises."""
         packed = pickle.dumps(key)
         held = self.get(packed)
         return self.store(packed, compute()) if held is None else pickle.loads(held)

@@ -10,6 +10,7 @@ limit logic.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -47,6 +48,12 @@ class FiniteMetricSpace:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise ValueError('"tolerance" must be a number')
+        try:
+            tolerance = float(self.tolerance)
+        except OverflowError:
+            raise ValueError('"tolerance" is too large for a float') from None
         points = tuple(str(p) for p in self.points)
         try:
             dist = np.array(self.dist, dtype=float)
@@ -65,10 +72,11 @@ class FiniteMetricSpace:
                 f"distance table is {dist.shape[0]}x{dist.shape[1]} "
                 f"but there are {len(points)} points"
             )
-        if not 0 <= self.tolerance < np.inf:
+        if not 0 <= tolerance < np.inf:
             raise ValueError("tolerance must be a finite nonnegative real")
         dist.flags.writeable = False
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
 
@@ -338,12 +346,7 @@ def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
     if not isinstance(obj["points"], list):
         raise ValueError('"points" must be a list of labels')
     tolerance = obj.get("tolerance", DEFAULT_TOLERANCE)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-        raise ValueError('"tolerance" must be a number')
-    try:  # the table's own overflow is a ValueError already
-        return FiniteMetricSpace(tuple(obj["points"]), obj["d"], float(tolerance), name)
-    except OverflowError:
-        raise ValueError('"tolerance" is too large for a float') from None
+    return FiniteMetricSpace(tuple(obj["points"]), obj["d"], tolerance, name)
 
 
 def load_space(path: str) -> FiniteMetricSpace:

@@ -23,15 +23,8 @@ from .construct import (
     lexicographic,
     squash,
 )
-from .resolving import _TABLES, ResolveResult, _table_solve, metric_dimension
-from .space import (
-    DEFAULT_TOLERANCE,
-    FiniteMetricSpace,
-    SpaceStats,
-    _table_key,
-    diameter,
-    space_stats,
-)
+from .resolving import ResolveResult, _table_solve, metric_dimension
+from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, SpaceStats, diameter, space_stats
 from .twins import SpecialClassSet, TwinPartition, _special_classes, twin_classes
 
 DEFAULT_PRODUCT_CAP = 36
@@ -77,11 +70,11 @@ class VerificationReport:
 class _Pair:
     """One verified pair: each object the reports share is computed once.
 
-    Holds the product and its solve. The base statistics with the twin partition
-    (or the error forming it) and the fiber, factor and special-class solves come
-    from the process-wide memo of results on one table, each read a fresh copy,
-    so a table met again, in this pair or an earlier one, is not analysed or
-    solved again. One fiber is built per distinct nearness value.
+    Holds the base statistics, the product and its solve, each worked out on first
+    use, so a report that reads no twin partition never forms one. The twin
+    partition and the fiber, factor and special-class solves come from the
+    functions that compute them, which keep each per table in the process-wide
+    memo. One fiber is built per distinct nearness value.
     """
 
     base: FiniteMetricSpace
@@ -97,26 +90,12 @@ class _Pair:
             )
 
     @cached_property
-    def _base(self) -> tuple[tuple, tuple | str]:
-        # Field values, not the objects: unpickling a class looks up its module on every hit.
-        def analyse() -> tuple[tuple, tuple | str]:
-            stats = tuple(vars(space_stats(self.base)).values())
-            try:
-                return stats, tuple(vars(twin_classes(self.base)).values())
-            except ValueError as exc:
-                return stats, str(exc)
-
-        return _TABLES.recall((_table_key(self.base), "base"), analyse)
-
-    @cached_property
     def stats(self) -> SpaceStats:
-        return SpaceStats(*self._base[0])
+        return space_stats(self.base)
 
     @cached_property
     def partition(self) -> TwinPartition:
-        if isinstance(self._base[1], str):
-            raise ValueError(self._base[1])
-        return TwinPartition(*self._base[1])
+        return twin_classes(self.base)
 
     @cached_property
     def second_diameter(self) -> float:

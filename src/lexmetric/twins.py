@@ -61,9 +61,17 @@ def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
     exactly when every point's row of the twin matrix equals its least
     twin's row; with exact tables it always is, but tolerance chains could
     break it, and a broken partition raises rather than being silently
-    repaired.
+    repaired. The partition is kept once per table in the process-wide memo,
+    each hit a fresh copy; a table that has none raises again every time.
     """
     _require_finite(space)
+    # Field values, not the object: unpickling a class looks up its module on every hit.
+    fields = _TABLES.recall((_table_key(space), "twins"), lambda: _partition(space))
+    return TwinPartition(*fields)
+
+
+def _partition(space: FiniteMetricSpace) -> tuple:
+    """:func:`twin_classes`' fields, worked out from the table."""
     same = _twin_matrix(space)
     np.fill_diagonal(same, True)
     least = same.argmax(axis=1)
@@ -96,7 +104,7 @@ def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
             raise ValueError(f"within-class nearness of {cls!r} is not constant")
         gap[cls] = space.d(cls[0], cls[1])
         class_nearness[cls] = near[0]
-    return TwinPartition(classes, gap, class_nearness)
+    return classes, gap, class_nearness
 
 
 def is_twins_free(space: FiniteMetricSpace) -> bool:

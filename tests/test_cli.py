@@ -391,6 +391,11 @@ GOLDEN = [
     ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 2),
     ("verify-far-w3", "verify far.json w3.json", 0),
     ("verify-k2-far-path", "verify k2.json far-path.json", 0),
+    # chain.json has no twin partition at its tolerance: only the reports that read one fail.
+    ("verify-chain-k2-diameter", "verify chain.json k2.json --theorem diameter", 0),
+    ("verify-chain-k2-squash", "verify chain.json k2.json --theorem squash", 0),
+    ("error-verify-chain-k2", "verify chain.json k2.json --theorem all", 2),
+    ("error-twins-chain", "twins chain.json", 2),
     ("corpus-5", "corpus --seed 5 --count 30", 0),
     ("corpus-9-json", "corpus --seed 9 --count 3 --json", 0),
     ("error-missing-file", "stats missing.json", 2),

@@ -86,6 +86,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="tolerance"):
             FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], tolerance=float("inf"))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            *[(bad, '"tolerance" must be a number') for bad in NOT_NUMBERS.values()],
+            (10**400, '"tolerance" is too large for a float'),
+        ],
+        ids=[*NOT_NUMBERS, "huge"],
+    )
+    def test_rejects_a_tolerance_that_is_not_a_float(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], tolerance=bad)
+
+    @pytest.mark.parametrize("given, kept", [(0, 0.0), (np.float32(0.5), 0.5)])
+    def test_keeps_a_real_tolerance_as_a_float(self, given, kept):
+        space = FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], tolerance=given)
+        assert type(space.tolerance) is float and space.tolerance == kept
+
     def test_table_is_read_only(self):
         s = p3()
         with pytest.raises(ValueError):

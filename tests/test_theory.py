@@ -164,26 +164,54 @@ class TestVerifySquash:
         assert report.witnesses["squashed_diameter_below_nearness"]
 
     @pytest.mark.parametrize(
-        "table",
+        "nearness, table, tolerance",
         [
             # float64 rounds both far distances to the nearness 1.0
-            [[0, 1e17, 2e17], [1e17, 0, 1e17], [2e17, 1e17, 0]],
+            (1, [[0, 1e17, 2e17], [1e17, 0, 1e17], [2e17, 1e17, 0]], 1e-9),
             # the one distance lands on the nearness
-            [[0, 1e17], [1e17, 0]],
+            (1, [[0, 1e17], [1e17, 0]], 1e-9),
             # the squash cuts the 3e-9 gap to a quarter, below the 1e-9 tolerance
-            [[0, 1, 1 + 3e-9], [1, 0, 1], [1 + 3e-9, 1, 0]],
+            (1, [[0, 1, 1 + 3e-9], [1, 0, 1], [1 + 3e-9, 1, 0]], 1e-9),
+            # the squashed diameter 3/4 sits exactly the tolerance below the nearness 1
+            (1, [[0, 3], [3, 0]], 0.25),
+            # 0 and 1 are apart, but their images 0 and 3/4 are exactly the tolerance apart
+            (3, [[0, 1], [1, 0]], 0.75),
         ],
-        ids=["far-path", "far-pair", "gap-at-tolerance"],
+        ids=[
+            "far-path", "far-pair", "gap-at-tolerance", "diameter-at-tolerance",
+            "images-at-tolerance",
+        ],
     )
-    def test_a_squash_that_merges_distances_is_skipped(self, table):
-        second = FiniteMetricSpace(tuple("abc"[: len(table)]), table)
+    def test_a_squash_that_merges_distances_is_skipped(self, nearness, table, tolerance):
+        base = FiniteMetricSpace(("v1", "v2"), [[0, nearness], [nearness, 0]])
+        second = FiniteMetricSpace(tuple("abc"[: len(table)]), table, tolerance)
         for _ in range(2):
-            report = verify_squash(K2, second)
+            report = verify_squash(base, second)
             assert report.skipped and (report.lhs, report.rhs) == (None, None)
             assert report.witnesses == {
                 "reason": "squashing merges distances the tolerance tells apart",
-                "base_nearness": 1.0,
+                "base_nearness": float(nearness),
             }
+
+    def test_distances_exactly_the_tolerance_apart_may_merge(self):
+        """1 and 1.25 are one distance at tolerance 0.25, so their images 1/2 and 5/9
+        coming within the tolerance merges nothing."""
+        table = [[0, 1, 1.25], [1, 0, 1], [1.25, 1, 0]]
+        report = verify_squash(K2, FiniteMetricSpace(("a", "b", "c"), table, 0.25))
+        assert report.passed and (report.lhs, report.rhs) == (4, 4)
+
+    def test_a_squashed_factor_of_another_dimension_fails(self, monkeypatch):
+        """The product matches the squashed factor's dimension but not the second
+        factor's. The stand-in squash puts C4's points on a line at 0, 1/4, 1/2 and
+        3/8: distances 1 and 2 go to 1/4 and 1/2, and the end at 0 resolves it."""
+        import lexmetric.theory as theory
+
+        x = [0, 0.25, 0.5, 0.375]
+        line = FiniteMetricSpace(C4.points, [[abs(a - b) for b in x] for a in x])
+        monkeypatch.setattr(theory, "squash", lambda eta, space: line)
+        report = verify_squash(K2, C4)
+        assert report.passed is False
+        assert (report.lhs, report.rhs, report.witnesses["squashed_dimension"]) == (2, 4, 1)
 
     @pytest.mark.parametrize("space", [P3, P4, C4, K3, HALF_PAIR])
     def test_squash_keeps_dimension(self, space):
@@ -385,7 +413,7 @@ def test_the_memo_holds_one_solve_entry_per_solved_table(counted):
     verify_all(C4, P4)
     keys = [pickle.loads(key) for key in resolving._TABLES]
     tagged = [key for key in keys if type(key) is tuple and type(key[-1]) is str]
-    assert {tag for _, tag in tagged} == {"base", "solve", "family"}
+    assert {tag for _, tag in tagged} == {"twins", "solve", "family"}
     solved = sorted((key[0], key[2]) for key, tag in tagged if tag == "solve")
     factors = [s for s in counted["solves"] if len(s[0]) != C4.n * P4.n]
     assert solved == sorted(factors) and len(factors) == len(set(factors)) == 3
@@ -529,6 +557,18 @@ def test_a_base_with_no_twin_partition_fails_only_the_reports_that_need_one():
         assert verify_diameter(chain, P4).passed is True
         with pytest.raises(ValueError, match="'a' and 'c' are linked but not twins"):
             verify_dimension(chain, P4)
+
+
+def test_diameter_and_squash_reports_form_no_twin_partition(monkeypatch):
+    """Neither report reads the base's twin classes, so neither forms them."""
+    import lexmetric.theory as theory
+
+    def twin_classes(space):
+        raise AssertionError("the twin partition was formed")
+
+    monkeypatch.setattr(theory, "twin_classes", twin_classes)
+    assert verify_diameter(C4, P4).passed is True
+    assert verify_squash(C4, P4).passed is True
 
 
 def test_reports_share_nothing_a_caller_can_change_with_the_memo():

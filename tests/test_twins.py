@@ -89,9 +89,28 @@ class TestTwinClasses:
             [[0, 1, 1, 1.0], [1, 0, 1, 1.06], [1, 1, 0, 1.12], [1.0, 1.06, 1.12, 0]],
             tolerance=0.1,
         )
-        with pytest.raises(ValueError) as raised:
-            twin_classes(chain)
-        assert str(raised.value) == TRANSITIVITY + "'a' and 'c' are linked but not twins"
+        for _ in range(2):  # nothing is kept, so the second call fails the same way
+            with pytest.raises(ValueError) as raised:
+                twin_classes(chain)
+            assert str(raised.value) == TRANSITIVITY + "'a' and 'c' are linked but not twins"
+        assert not resolving._TABLES
+
+    def test_an_equal_table_is_answered_from_the_memo(self, monkeypatch):
+        """A new object with C4's table finds the partition the first call kept, and
+        changing what one call returned changes no later result."""
+        import lexmetric.twins as twins
+
+        built = []
+        real_twin_matrix = twins._twin_matrix
+        monkeypatch.setattr(twins, "_twin_matrix", lambda s: built.append(s) or real_twin_matrix(s))
+        first = twin_classes(C4)
+        first.gap.clear()
+        first.class_nearness.clear()
+        again = twin_classes(FiniteMetricSpace(C4.points, C4.dist.copy()))
+        assert built == [C4]
+        assert again.classes == (("v1", "v3"), ("v2", "v4"))
+        assert again.gap == {("v1", "v3"): 2.0, ("v2", "v4"): 2.0}
+        assert again.class_nearness == {("v1", "v3"): 1.0, ("v2", "v4"): 1.0}
 
     def test_non_finite_table_raises(self):
         inf = float("inf")
