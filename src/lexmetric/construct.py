@@ -9,7 +9,6 @@ extraction of product fibers.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -134,44 +133,38 @@ def complete_graph(n: int) -> Graph:
     return Graph(tuple(labels), tuple(edges))
 
 
-def _single_source(adj: dict[str, list[tuple[str, float]]], source: str) -> dict[str, float]:
-    dist = {source: 0.0}
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    done: set[str] = set()
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj[u]:
-            nd = du + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+def _shortest_paths(table: np.ndarray) -> None:
+    """Close ``table`` under shortest paths in place, relaxing through each point in turn.
+
+    The relaxation through point k adds the same two floats for (i, j) as for
+    (j, i), so a symmetric table stays exactly symmetric.
+    """
+    for k in range(len(table)):
+        np.minimum(table, table[:, k, None] + table[k], out=table)
 
 
 def graph_metric(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> FiniteMetricSpace:
     """Shortest-path metric of a connected graph.
 
-    Runs one heap-based single-source search per vertex; on unit weights
-    the distances stay integral, since sums of 1.0 are exact. Raises
-    DisconnectedGraphError naming an unreachable pair.
+    Closes the edge table (a repeated edge keeps its least weight) under
+    shortest paths, one relaxation per vertex. The table is exactly symmetric,
+    and on unit weights the distances stay integral, since sums of 1.0 are
+    exact. Raises DisconnectedGraphError naming the first unreachable pair in
+    vertex order.
     """
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in g.vertices}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    table = np.full((len(index), len(index)), np.inf)
+    np.fill_diagonal(table, 0.0)
     for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    n = len(g.vertices)
-    table = np.zeros((n, n))
-    for i, src in enumerate(g.vertices):
-        dist = _single_source(adj, src)
-        if len(dist) != n:
-            missing = next(v for v in g.vertices if v not in dist)
-            raise DisconnectedGraphError(
-                f"graph is disconnected: no path from {src!r} to {missing!r}"
-            )
-        table[i] = [dist[v] for v in g.vertices]
+        i, j = index[u], index[v]
+        table[i, j] = table[j, i] = min(table[i, j], w)
+    _shortest_paths(table)
+    unreachable = np.argwhere(np.isinf(table))
+    if len(unreachable):
+        i, j = unreachable[0]
+        raise DisconnectedGraphError(
+            f"graph is disconnected: no path from {g.vertices[i]!r} to {g.vertices[j]!r}"
+        )
     return FiniteMetricSpace(g.vertices, table, tolerance)
 
 
@@ -191,8 +184,11 @@ def gravitational(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     """
     if not 0 < t < np.inf:
         raise ValueError("the gravitation constant t must be positive and finite")
+    _require_finite(space)
     capped = np.minimum(space.dist, 2.0 * t)
-    return _trusted_space(space.points, space._index, capped, space.tolerance, space.name)
+    return _trusted_space(
+        space.points, space._index, capped, space.tolerance, space.name, _finite=True
+    )
 
 
 def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -204,6 +200,7 @@ def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
     """
     if not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
+    _require_finite(space)
     d = space.dist
     lo, hi = float(d.min()), float(d.max())
     if lo <= -eta:

@@ -54,9 +54,10 @@ class SolveStats:
     ``reduced_sets`` the distinct ones left after dropping supersets; and
     ``components`` the independent groups those split into. ``nodes`` and
     ``memo_hits`` count the branching nodes searched and those answered from
-    a component's table, and ``prunes`` the searches cut by the packing
-    bound; all three are summed over components. A component of 8 to 18
-    positions is solved by :func:`_cover_least` and adds none of them. ``reused``
+    the solve's one search table, and ``prunes`` the searches cut by the
+    packing bound; components share no position, so no entry hits across
+    them. A component of 8 to 18 positions is solved by :func:`_cover_least`
+    and adds none of them. ``reused``
     counts the components answered from the process-wide memo, with no search;
     when the whole reduced family was met before, every component counts as
     reused and the other three counters are 0. The four take no part in equality.
@@ -433,36 +434,34 @@ def _cover_least(masks: list[int]) -> list[int]:
     return sorted(positions[j] for j in _positions(least.bit_length() - 1))
 
 
-def _solve_component(masks: list[int], limit: int) -> tuple[list[int], _Memo]:
+def _solve_component(masks: list[int], memo: _Memo) -> list[int]:
     """Lex-least minimum hitting set of one component, in global positions.
 
-    ``limit`` bounds the size search; the caller's, the points the witness so far
-    leaves free, is never below the optimum. Sets sharing a point are closed by their
-    least common point. Otherwise the process-wide memo is keyed by the sets shifted
-    down to their least position, sorted, so one family has one key; a shift keeps the
-    order of positions, so it keeps the lex-least witness, stored as offsets. A new
-    component of 8 to 18 positions is solved by :func:`_cover_least`, with no search;
-    any other gets the size search and the witness reconstruction, sharing one table,
-    which is returned for its counters.
+    Sets sharing a point are closed by their least common point. Otherwise the
+    process-wide memo is keyed by the sets shifted down to their least position,
+    sorted, so one family has one key; a shift keeps the order of positions, so it
+    keeps the lex-least witness, stored as offsets, and a hit counts in
+    ``memo.reused``. A new component of 8 to 18 positions is solved by
+    :func:`_cover_least`, with no search; any other gets the size search, bounded by
+    its position count, and the witness reconstruction, both in ``memo``.
     """
-    memo = _Memo()
     common = reduce(and_, masks)
     if common:
-        return [(common & -common).bit_length() - 1], memo
+        return [(common & -common).bit_length() - 1]
     union = reduce(or_, masks)
     low = (union & -union).bit_length() - 1
     key = pickle.dumps(sorted([m >> low for m in masks]))
     held = _TABLES.get(key)
     if held is not None:
-        memo.reused = 1
-        return [low + k for k in pickle.loads(held)], memo
+        memo.reused += 1
+        return [low + k for k in pickle.loads(held)]
     if union.bit_count() in _COVER_POSITIONS:
         witness = _cover_least(masks)
     else:
-        size = _min_hitting_set_size(masks, limit, memo)
+        size = _min_hitting_set_size(masks, union.bit_count(), memo)
         witness = _lex_least_hitting_set(masks, size, memo)
     _TABLES.store(key, [k - low for k in witness])
-    return witness, memo
+    return witness
 
 
 def _minimal_family(space: FiniteMetricSpace) -> tuple[list[str], list[int]]:
@@ -528,18 +527,14 @@ def _least_basis(
     # The tag keeps a family's key apart from every component's.
     key = pickle.dumps((minimal, "family"))
     held = _TABLES.get(key)
-    nodes = hits = prunes = 0
+    memo = _Memo()
     if held is not None:
         witness, components = pickle.loads(held)
-        reused = components
+        memo.reused = components
     else:
-        witness, reused, parts = [], 0, _components(minimal)
-        for masks in parts:
-            part, memo = _solve_component(masks, space.n - len(witness))
-            witness += part
-            nodes, hits, prunes = nodes + memo.nodes, hits + memo.hits, prunes + memo.prunes
-            reused += memo.reused
-        witness, components = _TABLES.store(key, (sorted(witness), len(parts)))
+        parts = _components(minimal)
+        witness = sorted(i for masks in parts for i in _solve_component(masks, memo))
+        witness, components = _TABLES.store(key, (witness, len(parts)))
     basis = tuple(labels[i] for i in witness)
     all_bases = None
     if enumerate_all:
@@ -549,7 +544,9 @@ def _least_basis(
             if all(sum(1 << i for i in combo) & m for m in minimal)
         )
     raw_sets = space.n * (space.n - 1) // 2 + len(must_hit)
-    stats = SolveStats(raw_sets, len(minimal), components, nodes, hits, prunes, reused)
+    stats = SolveStats(
+        raw_sets, len(minimal), components, memo.nodes, memo.hits, memo.prunes, memo.reused
+    )
     return ResolveResult(len(basis), basis, all_bases, stats)
 
 

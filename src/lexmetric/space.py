@@ -239,6 +239,7 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
 
 def nearness_point(space: FiniteMetricSpace, x: str) -> float:
     """Distance from ``x`` to its closest other point; positive in a valid space."""
+    _require_finite(space)
     return float(space._nearness[space.index(x)])
 
 
@@ -256,6 +257,7 @@ def slack(space: FiniteMetricSpace) -> float:
 
 def diameter(space: FiniteMetricSpace) -> float:
     """Largest pairwise distance."""
+    _require_finite(space)
     return float(space.dist.max())
 
 

@@ -18,6 +18,7 @@ from .construct import (
     DisconnectedGraphError,
     Graph,
     ProductSpace,
+    _shortest_paths,
     graph_metric,
     gravitational,
     lexicographic,
@@ -313,8 +314,11 @@ def connected_graph_spaces(
     """Shortest-path metrics of every connected graph on min_n..max_n labeled vertices.
 
     Enumerates all edge subsets and keeps the connected ones, so isomorphic
-    copies on the same vertex count appear once per labeling.
+    copies on the same vertex count appear once per labeling. A ``min_n``
+    below 2 raises ValueError.
     """
+    if min_n < 2:
+        raise ValueError(f"connected graph spaces need a min_n of at least 2, got {min_n}")
     spaces: list[FiniteMetricSpace] = []
     for n in range(min_n, max_n + 1):
         vertices = tuple(f"{prefix}{i + 1}" for i in range(n))
@@ -386,8 +390,7 @@ def random_metric_space(
     draws = rng.uniform(low, high, size=(n, n))
     table = np.minimum(draws, draws.T)
     np.fill_diagonal(table, 0.0)
-    for k in range(n):
-        table = np.minimum(table, table[:, k : k + 1] + table[k : k + 1, :])
+    _shortest_paths(table)
     labels = tuple(f"{prefix}{i + 1}" for i in range(n))
     return FiniteMetricSpace(labels, table, tolerance)
 

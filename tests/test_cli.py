@@ -357,6 +357,7 @@ GOLDEN = [
     ("stats-p4-tolerance", "stats p4.edges --tolerance 0.5", 0),
     ("graph-p4", "graph p4.edges", 0),
     ("graph-k4-json", "graph k4.edges --json --tolerance 0.001", 0),
+    ("graph-weighted-path-json", "graph weighted-path.edges --json", 0),
     ("gravitate-p4", "gravitate p4.edges --t 1", 0),
     ("gravitate-p4-json", "gravitate p4.edges --t 1 --json", 0),
     ("squash-w3", "squash w3.json --eta 1", 0),
@@ -391,6 +392,8 @@ GOLDEN = [
     ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 2),
     ("verify-far-w3", "verify far.json w3.json", 0),
     ("verify-k2-far-path", "verify k2.json far-path.json", 0),
+    # Its path sums are not exact in binary: only a symmetric table passes at tolerance 0.
+    ("verify-weighted-path-k2-tol0", "verify weighted-path.edges k2.json --tolerance 0", 0),
     # chain.json has no twin partition at its tolerance: only the reports that read one fail.
     ("verify-chain-k2-diameter", "verify chain.json k2.json --theorem diameter", 0),
     ("verify-chain-k2-squash", "verify chain.json k2.json --theorem squash", 0),

@@ -58,6 +58,11 @@ class TestGraphMetric:
         with pytest.raises(DisconnectedGraphError, match="'a' to 'c'"):
             graph_metric(g)
 
+    def test_repeated_edge_keeps_its_least_weight(self):
+        edges = (("a", "b", 3.0), ("b", "c", 1.0), ("b", "a", 0.5), ("a", "b", 2.0))
+        g = Graph(("a", "b", "c"), edges)
+        assert np.array_equal(graph_metric(g).dist, [[0, 0.5, 1.5], [0.5, 0, 1], [1.5, 1, 0]])
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate vertex labels"):
             Graph(("a", "b", "a"), (("a", "b", 1.0),))
@@ -167,6 +172,13 @@ class TestGravitational:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             gravitational(graph_metric(path_graph(3)), t)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_table(self, bad):
+        # Capping would turn inf into 2t, and validate would call the result a metric.
+        s = FiniteMetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, bad], [2, bad, 0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            gravitational(s, 1.0)
+
 
 class TestSquash:
     def test_values(self):
@@ -178,6 +190,13 @@ class TestSquash:
     def test_requires_positive_eta(self):
         with pytest.raises(ValueError):
             squash(-1.0, discrete_metric(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_table(self, bad):
+        # Squashing would turn inf into eta, and validate would call the result a metric.
+        s = FiniteMetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, bad], [2, bad, 0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            squash(1.0, s)
 
     def test_rejects_infinite_eta(self):
         # inf * d / (inf + d) is NaN for every entry.
@@ -440,6 +459,26 @@ def test_gravitational_output_is_metric_and_idempotent(space, t):
     assert np.array_equal(again.dist, capped.dist)
     if 2 * t >= diameter(space):
         assert np.array_equal(capped.dist, space.dist)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9))
+def test_weighted_graph_metric_matches_scipy_and_is_exactly_symmetric(seed, n):
+    """Random weights on a random connected graph, a repeated edge among them."""
+    pytest.importorskip("scipy")
+    from scipy.sparse.csgraph import shortest_path
+
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, n)
+    edges = [(u, v, float(rng.uniform(0.05, 3.0))) for u, v, _ in graph.edges]
+    edges.append((*edges[0][:2], float(rng.uniform(0.05, 3.0))))
+    d = graph_metric(Graph(graph.vertices, tuple(edges))).dist
+    weights = np.zeros((n, n))  # scipy reads 0 as no edge
+    for u, v, w in edges:
+        i, j = graph.vertices.index(u), graph.vertices.index(v)
+        weights[i, j] = weights[j, i] = min(w, weights[i, j] or np.inf)
+    assert np.allclose(d, shortest_path(weights, directed=False), rtol=0, atol=1e-12)
+    assert np.array_equal(d, d.T)
 
 
 @settings(derandomize=True, max_examples=30)

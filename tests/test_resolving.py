@@ -385,7 +385,7 @@ def hits(candidates, sets) -> bool:
 def kernel_witness(sets: list[int]) -> list[int]:
     """Union of the per-component lex-least witnesses of the reduced family."""
     components = _components(_minimal_masks(sets))
-    return sorted(i for masks in components for i in _solve_component(masks, len(masks))[0])
+    return sorted(i for masks in components for i in _solve_component(masks, _Memo()))
 
 
 def plain_min_hitting_set_size(sets: list[int], budget: int) -> int | None:
@@ -519,16 +519,16 @@ def test_memoized_search_agrees_with_plain_branch_and_bound(sets):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.lists(st.integers(1, 255), min_size=1, max_size=12), st.integers(0, 3))
-@example(COMMON_POINT, 0)
-@example(COMMON_POINT, 2)
-@example([0b0110], 1)
-@example(TRIPLES_OF_FIVE, 0)
-def test_solve_component_agrees_with_plain_branch_and_bound(sets, slack):
-    """At any search limit from the optimum up, the witness is the oracle's; a family
-    whose sets share a point is closed by its least one, with no search."""
+@given(st.lists(st.integers(1, 255), min_size=1, max_size=12))
+@example(COMMON_POINT)
+@example([0b0110])
+@example(TRIPLES_OF_FIVE)
+def test_solve_component_agrees_with_plain_branch_and_bound(sets):
+    """The witness is the oracle's; a family whose sets share a point is closed by its
+    least one, with no search."""
     size = plain_min_hitting_set_size(sets, 8)
-    part, memo = _solve_component(sets, size + slack)
+    memo = _Memo()
+    part = _solve_component(sets, memo)
     assert part == plain_lex_least_hitting_set(sets, size)
     if reduce(and_, sets):
         assert (memo.nodes, memo.hits, memo.prunes) == (0, 0, 0)
@@ -543,25 +543,23 @@ def test_solve_component_agrees_with_plain_branch_and_bound(sets, slack):
 @example(COMMON_POINT, [2])
 @example(OPEN_AT_ZERO_BUDGET, [5])
 def test_shifted_copies_are_answered_from_the_process_memo(sets, shifts):
-    """A family and its copies shifted left, at search limits at and above its
-    optimum: each answer equals the oracle's and a solve on an empty memo. Once the
-    first is solved, every copy is answered from its stored witness with no search."""
+    """A family and its copies shifted left: each answer equals the oracle's and a solve
+    on an empty process memo. Once the first is solved, every copy is answered from its
+    stored witness with no search, on a second pass too."""
     size = plain_min_hitting_set_size(sets, 8)
     copies = [[m << shift for m in sets] for shift in (0, *shifts)]
-    limits = [size, size + 1]
-    expected = {}
-    for k, family in enumerate(copies):
-        for limit in limits:
-            resolving_module._TABLES.clear()
-            expected[k, limit] = _solve_component(family, limit)[0]
-            assert expected[k, limit] == plain_lex_least_hitting_set(family, size)
+    expected = []
+    for family in copies:
+        resolving_module._TABLES.clear()
+        expected.append(_solve_component(family, _Memo()))
+        assert expected[-1] == plain_lex_least_hitting_set(family, size)
     resolving_module._TABLES.clear()
     searched = not reduce(and_, sets)
     stored = False
-    for limit in [*limits, *reversed(limits)]:
-        for k, family in enumerate(copies):
-            part, memo = _solve_component(family, limit)
-            assert part == expected[k, limit]
+    for _ in range(2):
+        for family, witness in zip(copies, expected):
+            memo = _Memo()
+            assert _solve_component(family, memo) == witness
             assert memo.reused == (searched and stored)
             if memo.reused:
                 assert (memo.nodes, memo.hits, memo.prunes, len(memo)) == (0, 0, 0, 0)
@@ -569,12 +567,12 @@ def test_shifted_copies_are_answered_from_the_process_memo(sets, shifts):
 
 
 def test_search_table_dies_with_its_solve():
-    """No reference cycle holds a component's table: with the cycle collector off,
-    dropping the table the solve returns frees it."""
+    """No reference cycle holds a solve's table: with the cycle collector off,
+    dropping the table the solve filled frees it."""
     gc.disable()
     try:
-        part, memo = _solve_component(TRIPLES_OF_FIVE, 5)
-        assert part == [0, 1, 2] and len(memo) > 0
+        memo = _Memo()
+        assert _solve_component(TRIPLES_OF_FIVE, memo) == [0, 1, 2] and len(memo) > 0
         table = weakref.ref(memo)
         del memo
         assert table() is None
@@ -690,8 +688,8 @@ def test_cover_takes_positions_past_one_word():
     assert _cover_least(WIDE_TRIPLES) == WIDE[:7] == plain_search_witness(WIDE_TRIPLES)
     assert _cover_least(WIDE_CYCLE) == [0, 2, 9, 66, 70] == plain_search_witness(WIDE_CYCLE)
     for family in (WIDE_TRIPLES, WIDE_CYCLE):
-        part, memo = _solve_component(family, len(WIDE))
-        assert part == _cover_least(family)
+        memo = _Memo()
+        assert _solve_component(family, memo) == _cover_least(family)
         assert (memo.nodes, memo.hits, memo.prunes) == (0, 0, 0)
 
 

@@ -200,7 +200,17 @@ class TestScalarStats:
         assert 0 < st_.nearness <= st_.slack <= st_.diameter
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("statistic", [space_stats, nearness, slack])
+    @pytest.mark.parametrize(
+        "statistic",
+        [
+            space_stats,
+            nearness,
+            slack,
+            diameter,
+            # Point a's own row is finite: the whole table is refused all the same.
+            pytest.param(lambda s: nearness_point(s, "a"), id="nearness_point"),
+        ],
+    )
     def test_non_finite_table_raises(self, statistic, bad):
         s = FiniteMetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, bad], [2, bad, 0]])
         with pytest.raises(ValueError, match="non-finite"):
@@ -530,13 +540,16 @@ def test_nearness_matches_the_loop_oracle(space):
     expected = [nearness_oracle(space, x) for x in space.points]
     # NaN-aware; a zero nearness may come back as 0.0 or -0.0 from either
     # side, as numpy's min leaves the sign of a zero unspecified.
-    got = [nearness_point(space, x) for x in space.points]
-    assert np.array_equal(got, expected, equal_nan=True)
-    if np.isfinite(space.dist).all():
-        stats = space_stats(space)
-        assert list(stats.nearness_per_point.values()) == expected
-        assert (stats.nearness, stats.slack) == (min(expected), max(expected))
-        assert (nearness(space), slack(space)) == (min(expected), max(expected))
+    assert np.array_equal(space._nearness, expected, equal_nan=True)
+    if not np.isfinite(space.dist).all():
+        with pytest.raises(ValueError, match="non-finite"):
+            nearness_point(space, space.points[0])
+        return
+    assert [nearness_point(space, x) for x in space.points] == expected
+    stats = space_stats(space)
+    assert list(stats.nearness_per_point.values()) == expected
+    assert (stats.nearness, stats.slack) == (min(expected), max(expected))
+    assert (nearness(space), slack(space)) == (min(expected), max(expected))
 
 
 def test_validate_sums_past_the_largest_float_without_warning():

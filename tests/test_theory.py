@@ -227,6 +227,11 @@ class TestCorpusGenerators:
         assert len(connected_graph_spaces(4, 4)) == 38
         assert len(connected_graph_spaces(2, 4)) == 43
 
+    @pytest.mark.parametrize("min_n", [1, 0, -2])
+    def test_connected_graphs_reject_a_min_n_below_two(self, min_n):
+        with pytest.raises(ValueError, match=f"min_n of at least 2, got {min_n}$"):
+            connected_graph_spaces(min_n, 3)
+
     def test_weighted_corpus_is_valid(self):
         spaces = weighted_corpus_spaces()
         assert len(spaces) == 3
