@@ -39,7 +39,6 @@ from .construct import (
 from .resolving import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
-    PairTable,
     ResolveResult,
     SolveStats,
     coordinates,

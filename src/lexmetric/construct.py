@@ -186,9 +186,7 @@ def gravitational(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
         raise ValueError("the gravitation constant t must be positive and finite")
     _require_finite(space)
     capped = np.minimum(space.dist, 2.0 * t)
-    return _trusted_space(
-        space.points, space._index, capped, space.tolerance, space.name, _finite=True
-    )
+    return _trusted_space(space.points, space._index, capped, space.tolerance, space.name)
 
 
 def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -196,7 +194,8 @@ def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
 
     The map is strictly increasing above its pole at -eta, so every comparison between
     distances, and with it every resolving set, is kept. An entry at or below -eta raises
-    ValueError. Where eta*d overflows, d dwarfs eta and the map is taken as eta/(eta/d + 1).
+    ValueError, as does one with no finite image just above it. Where eta*d overflows, d
+    dwarfs eta and the map is taken as eta/(eta/d + 1).
     """
     if not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
@@ -211,6 +210,12 @@ def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
     else:
         with np.errstate(all="ignore"):
             squashed = np.where(np.isinf(eta * d), eta / (eta / d + 1), eta * d / (eta + d))
+        lost = ~np.isfinite(squashed)
+        if lost.any():
+            u, v = min((space.points[i], space.points[j]) for i, j in np.argwhere(lost))
+            raise ValueError(
+                f"squash: d({u!r}, {v!r}) = {space.d(u, v)} has no finite image at eta = {eta}"
+            )
     return _trusted_space(space.points, space._index, squashed, space.tolerance, space.name)
 
 
@@ -306,7 +311,7 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
         blocks[base, :, base, :] = np.minimum(2.0 * near[:, None, None], second.dist)
     tolerance = max(first.tolerance, second.tolerance)
     # Both factors are finite, so every entry is.
-    product = _trusted_space(labels, index, table, tolerance, "lexicographic product", _finite=True)
+    product = _trusted_space(labels, index, table, tolerance, "lexicographic product")
     return ProductSpace(product, first.points, second.points)
 
 

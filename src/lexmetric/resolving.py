@@ -88,18 +88,6 @@ class ResolveResult:
     stats: SolveStats | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """For each unordered point pair, the set of points that tell it apart.
-
-    Keys are label-sorted pairs. A subset resolves the space exactly when it
-    intersects every entry; both members of a pair always belong to their own
-    entry, since each is at distance zero from itself only.
-    """
-
-    pairs: dict[tuple[str, str], frozenset[str]]
-
-
 def coordinates(
     space: FiniteMetricSpace, landmarks: tuple[str, ...] | list[str], x: str
 ) -> tuple[float, ...]:
@@ -219,15 +207,19 @@ def _greedy_hitting_set(sets: list[int]) -> list[int]:
     return sorted(chosen)
 
 
-def pair_table(space: FiniteMetricSpace) -> PairTable:
-    """Build the distinguisher sets for every unordered pair of points."""
+def pair_table(space: FiniteMetricSpace) -> dict[tuple[str, str], frozenset[str]]:
+    """For each label-sorted point pair, in point order, the points that tell it apart.
+
+    A subset resolves the space exactly when it intersects every entry; both members
+    of a pair belong to their own entry, each being at distance zero from itself only.
+    """
     labels, sets = _distinguisher_sets(space)
     by_pair = {
         pair: frozenset(labels[k] for k in _positions(s))
         for pair, s in zip(itertools.combinations(labels, 2), sets)
     }
     in_point_order = (tuple(sorted(pair)) for pair in itertools.combinations(space.points, 2))
-    return PairTable({pair: by_pair[pair] for pair in in_point_order})
+    return {pair: by_pair[pair] for pair in in_point_order}
 
 
 def greedy_generator(space: FiniteMetricSpace) -> tuple[str, ...]:

@@ -119,18 +119,17 @@ class FiniteMetricSpace:
 
 def _trusted_space(
     points: tuple[str, ...], index: dict[str, int], dist: np.ndarray, tolerance: float,
-    name: str, **known,
+    name: str,
 ) -> FiniteMetricSpace:
     """A space from parts already checked, without the constructor's checks and copy.
 
-    ``index`` maps each label to its position and is shared, never changed;
-    ``dist`` is a new float table of the right shape, made read-only and kept as is.
-    ``known`` presets kept facts the caller has shown, such as ``_finite=True``.
+    ``index`` maps each label to its position and is shared, never changed; ``dist``
+    is a new finite float table of the right shape, made read-only and kept as is.
     """
     space = object.__new__(FiniteMetricSpace)
     dist.flags.writeable = False
     vars(space).update(
-        points=points, dist=dist, tolerance=tolerance, name=name, _index=index, **known
+        points=points, dist=dist, tolerance=tolerance, name=name, _index=index, _finite=True
     )
     return space
 
@@ -347,6 +346,11 @@ def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
         raise ValueError(f"metric document is missing {missing}")
     if not isinstance(obj["points"], list):
         raise ValueError('"points" must be a list of labels')
+    # numpy would read true and "1" as 1.0, and null as NaN.
+    rows = obj["d"] if isinstance(obj["d"], list) else []
+    entries = [x for row in rows if isinstance(row, list) for x in row]
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in entries):
+        raise ValueError('"d" entries must be numbers')
     tolerance = obj.get("tolerance", DEFAULT_TOLERANCE)
     return FiniteMetricSpace(tuple(obj["points"]), obj["d"], tolerance, name)
 

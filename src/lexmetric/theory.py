@@ -221,7 +221,6 @@ class _Pair:
             "second_dimension": dim_second,
             "squashed_dimension": dim_squashed,
             "squashed_diameter": squashed_diameter,
-            "squashed_diameter_below_nearness": bool(squashed_diameter < near),
             "product_points": product.space.n,
         }
         return VerificationReport("squash", lhs, rhs, passed, witnesses)

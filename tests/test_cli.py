@@ -415,12 +415,16 @@ GOLDEN = [
     ("error-enumeration-cap", "dim c5.edges --all-bases --max-enumeration-points 4", 2),
     ("error-eta-inf", "squash p4.edges --eta inf", 2),
     ("error-squash-pole", "squash negative.json --eta 1", 2),
+    # Just above the pole: eta*d overflows and the image eta/(eta/d + 1) is -inf.
+    ("error-squash-overflow", "squash near-pole.json --eta 1e300", 2),
     ("error-verify-k2-negative", "verify k2.json negative.json", 2),
     ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),
     ("error-tolerance-inf", "stats p4.edges --tolerance inf", 2),
     ("error-tolerance-null", "stats tolerance-null.json", 2),
     ("error-tolerance-huge", "stats tolerance-huge.json", 2),
     ("error-table-huge", "stats table-huge.json", 2),
+    ("error-table-bool", "stats table-bool.json", 2),
+    ("error-table-string", "stats table-string.json", 2),
     ("error-unknown-command", "frobnicate", 2),
     ("error-no-arguments", "", 2),
     ("error-gravitate-needs-t", "gravitate p4.edges", 2),

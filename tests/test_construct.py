@@ -230,6 +230,16 @@ class TestSquash:
             assert out.dist[near].tobytes() == (eta * d[near] / (eta + d[near])).tobytes()
             assert out.d("a", "c") < out.d("a", "b")
 
+    def test_rejects_an_entry_just_above_the_pole_whose_image_overflows(self):
+        # eta*d overflows, and eta/(eta/d + 1) divides eta by one float spacing: -inf.
+        d = -1e300 * (1 - 2**-52)
+        s = FiniteMetricSpace(("c", "b", "a"), [[0, 1, d], [1, 0, d], [d, d, 0]])
+        with pytest.raises(ValueError) as raised:
+            squash(1e300, s)
+        assert str(raised.value) == (
+            "squash: d('a', 'b') = -9.999999999999999e+299 has no finite image at eta = 1e+300"
+        )
+
 
 def test_a_far_pair_is_built_and_verified_without_overflow():
     """A base pair at 1e308: twice its nearness is past the largest float, so the fiber
@@ -459,6 +469,34 @@ def test_gravitational_output_is_metric_and_idempotent(space, t):
     assert np.array_equal(again.dist, capped.dist)
     if 2 * t >= diameter(space):
         assert np.array_equal(capped.dist, space.dist)
+
+
+@st.composite
+def squash_inputs(draw):
+    """An eta of any magnitude and a finite 2- or 3-point table above the pole at -eta,
+    but for some entries about one float spacing below it, on it or a few spacings above."""
+    eta = draw(st.floats(1e-300, 1e300) | st.sampled_from([1.0, 1e154, 1e300]))
+    near_pole = st.integers(-1, 3).map(lambda k: -eta * (1 - k * 2**-52))
+    entries = st.floats(-eta, allow_infinity=False, exclude_min=True) | near_pole
+    n = draw(st.integers(2, 3))
+    return eta, np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(squash_inputs())
+def test_squash_is_the_formula_or_raises_where_it_has_no_finite_image(inputs):
+    eta, d = inputs
+    with np.errstate(all="ignore"):
+        expected = np.where(np.isinf(eta * d), eta / (eta / d + 1), eta * d / (eta + d))
+    s = FiniteMetricSpace(("a", "b", "c")[: len(d)], d)
+    if (d <= -eta).any() or not np.isfinite(expected).all():
+        message = "at or below -eta" if (d <= -eta).any() else "has no finite image"
+        with pytest.raises(ValueError, match=message):
+            squash(eta, s)
+        return
+    out = squash(eta, s)
+    assert out.dist.tobytes() == expected.tobytes()
+    assert np.isfinite(out.dist).all()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -10,5 +10,5 @@ def test_star_import_binds_exactly_all_and_no_module():
     exec("from lexmetric import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(lexmetric.__all__)
-    assert len(lexmetric.__all__) == 60
+    assert len(lexmetric.__all__) == 59
     assert not any(isinstance(value, types.ModuleType) for value in namespace.values())

@@ -268,8 +268,18 @@ class TestJsonFormat:
                 (dict(points=["a", "b"], d=K2_TABLE, tolerance=bad), '"tolerance" must be a number')
                 for bad in NOT_NUMBERS.values()
             ],
+            # numpy alone would read true and "1e-6" as numbers, and null as NaN.
+            *[
+                (dict(points=["a", "b"], d=[[0, bad], [bad, 0]]), '"d" entries must be numbers')
+                for bad in NOT_NUMBERS.values()
+            ],
         ],
-        ids=["array", "points-string", *(f"tolerance-{kind}" for kind in NOT_NUMBERS)],
+        ids=[
+            "array",
+            "points-string",
+            *(f"tolerance-{kind}" for kind in NOT_NUMBERS),
+            *(f"d-{kind}" for kind in NOT_NUMBERS),
+        ],
     )
     def test_rejects_a_malformed_document(self, doc, message):
         with pytest.raises(ValueError, match=message):
