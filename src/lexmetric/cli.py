@@ -208,6 +208,12 @@ _THEOREMS = {
 }
 
 
+def _pair_doc(base, second, reports) -> dict:
+    """One verified pair: its two spaces, each stated once, beside its reports."""
+    reports = [r.to_json_dict() for r in reports]
+    return {"base": space_to_json(base), "second": space_to_json(second), "reports": reports}
+
+
 def cmd_verify(args, base, second):
     reports = _THEOREMS[args.theorem](args, base, second)
     text = []
@@ -215,7 +221,7 @@ def cmd_verify(args, base, second):
         detail = r.witnesses.get("reason", "") if r.skipped else f"lhs={r.lhs}, rhs={r.rhs}"
         text.append(f"{r.theorem}: {_verdict(r)} ({detail})")
     ok = all(r.passed is not False for r in reports)
-    return [r.to_json_dict() for r in reports], text, ok
+    return _pair_doc(base, second, reports), text, ok
 
 
 def cmd_corpus(args):
@@ -224,17 +230,9 @@ def cmd_corpus(args):
     docs, text = [], []
     for i, (base, second) in enumerate(pairs, start=1):
         reports = verify_all(base, second, args.max_product_points)
-        run = [r for r in reports if not r.skipped]
-        checks += len(run)
-        failures += sum(not r.passed for r in run)
-        docs.append(
-            {
-                "pair": i,
-                "base_points": base.n,
-                "second_points": second.n,
-                "reports": [r.to_json_dict() for r in reports],
-            }
-        )
+        checks += sum(not r.skipped for r in reports)
+        failures += sum(r.passed is False for r in reports)
+        docs.append({"pair": i, **_pair_doc(base, second, reports)})
         summary = ", ".join(f"{r.theorem} {_verdict(r)}" for r in reports)
         text.append(f"pair {i:02d} |X|={base.n} |Y|={second.n}: {summary}")
     text.append(f"summary: {len(pairs)} pairs, {checks} checks, {failures} failure(s)")

@@ -344,15 +344,16 @@ def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
     missing = [key for key in ("points", "d") if key not in obj]
     if missing:
         raise ValueError(f"metric document is missing {missing}")
-    if not isinstance(obj["points"], list):
+    points = obj["points"]
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise ValueError('"points" must be a list of labels')
-    # numpy would read true and "1" as 1.0, and null as NaN.
+    # str would make labels of true and null; numpy would read true and "1" as 1.0, null as NaN.
     rows = obj["d"] if isinstance(obj["d"], list) else []
     entries = [x for row in rows if isinstance(row, list) for x in row]
     if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in entries):
         raise ValueError('"d" entries must be numbers')
     tolerance = obj.get("tolerance", DEFAULT_TOLERANCE)
-    return FiniteMetricSpace(tuple(obj["points"]), obj["d"], tolerance, name)
+    return FiniteMetricSpace(tuple(points), obj["d"], tolerance, name)
 
 
 def load_space(path: str) -> FiniteMetricSpace:

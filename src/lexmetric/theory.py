@@ -25,7 +25,14 @@ from .construct import (
     squash,
 )
 from .resolving import ResolveResult, _table_solve, metric_dimension
-from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, SpaceStats, diameter, space_stats
+from .space import (
+    DEFAULT_TOLERANCE,
+    FiniteMetricSpace,
+    SpaceStats,
+    _row_blocks,
+    diameter,
+    space_stats,
+)
 from .twins import SpecialClassSet, TwinPartition, _special_classes, twin_classes
 
 DEFAULT_PRODUCT_CAP = 36
@@ -37,11 +44,11 @@ class SizeGuardExceeded(ValueError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Both sides of one identity, with enough context to replay a failure.
+    """Both sides of one identity, and the values each side was worked out from.
 
-    ``passed`` is None when the check did not apply (its precondition
-    failed); such reports are skipped rather than failed. Serialization uses
-    the key "pass" since that name is reserved in Python.
+    ``passed`` is None when the check's precondition failed: the report is skipped, not
+    failed, and serializes with "pass" null ("pass" is reserved in Python). It holds no
+    input: the CLI's document states each pair's two spaces once, beside its reports.
     """
 
     theorem: str
@@ -55,16 +62,13 @@ class VerificationReport:
         return self.passed is None
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "theorem": self.theorem,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "pass": self.passed,
             "witnesses": self.witnesses,
         }
-        if self.skipped:
-            doc["skipped"] = True
-        return doc
 
 
 @dataclass(eq=False)
@@ -140,27 +144,19 @@ class _Pair:
             "fiber_dimensions": self.fiber_dimensions,
             "special_classes": [list(c) for c in self.special.member_classes],
             "twin_classes": [list(c) for c in self.partition.classes],
-            "base_points": list(self.base.points),
-            "base_table": self.base.dist.tolist(),
-            "second_points": list(self.second.points),
-            "second_table": self.second.dist.tolist(),
         }
         lhs, rhs = solved.dimension, self.rhs
         return VerificationReport("dimension", lhs, rhs, lhs == rhs, witnesses)
 
     def diameter_report(self) -> VerificationReport:
-        base, second, stats = self.base, self.second, self.stats
+        stats = self.stats
         lhs = diameter(self.product.space)
         rhs = max(stats.diameter, min(2.0 * stats.slack, self.second_diameter))
-        tol = max(base.tolerance, second.tolerance)
+        tol = max(self.base.tolerance, self.second.tolerance)
         witnesses = {
             "base_diameter": stats.diameter,
             "base_slack": stats.slack,
             "second_diameter": self.second_diameter,
-            "base_points": list(base.points),
-            "base_table": base.dist.tolist(),
-            "second_points": list(second.points),
-            "second_table": second.dist.tolist(),
         }
         return VerificationReport("diameter", lhs, rhs, bool(abs(lhs - rhs) <= tol), witnesses)
 
@@ -200,13 +196,17 @@ class _Pair:
         near = self.stats.nearness
         squashed = squash(near, self.second)
         squashed_diameter = diameter(squashed)
-        # Sorted neighbours show every merge, as the squash is increasing and never widens a
-        # gap; in float64 it rounds distances past about 2**52 times the nearness together.
+        # The tolerance is not transitive: entries that chain within it can span more than
+        # it and merge though no sorted neighbours do, so every pair of distinct entries is
+        # compared, by subtraction. In float64 the squash rounds distances past about 2**52
+        # times the nearness together.
         entries, first = np.unique(self.second.dist, return_index=True)
-        images = squashed.dist.ravel()[first]
-        tol = max(self.base.tolerance, self.second.tolerance)
-        merged = (np.diff(entries) > self.second.tolerance) & (np.diff(images) <= tol)
-        if merged.any() or near - squashed_diameter <= tol:
+        images, gap = squashed.dist.ravel()[first], self.second.tolerance
+        tol = max(self.base.tolerance, gap)
+        if near - squashed_diameter <= tol or any(
+            np.any((entries[r, None] - entries > gap) & (images[r, None] - images <= tol))
+            for r in _row_blocks(len(entries), len(entries))
+        ):
             reason = "squashing merges distances the tolerance tells apart"
             witnesses = {"reason": reason, "base_nearness": near}
             return VerificationReport("squash", None, None, None, witnesses)

@@ -14,8 +14,8 @@ import pytest
 
 import lexmetric
 from lexmetric import resolving
-from lexmetric.cli import main
-from lexmetric.space import FiniteMetricSpace, save_space, space_from_json, validate
+from lexmetric.cli import _THEOREMS, _build_parser, main
+from lexmetric.space import FiniteMetricSpace, json_text, save_space, space_from_json, validate
 
 P4_EDGES = "a b\nb c\nc d\n"
 K2_JSON = {"points": ["u", "v"], "d": [[0, 1], [1, 0]]}
@@ -87,7 +87,9 @@ class TestVerify:
     def test_all_theorems_json(self, capsys, k2_json):
         code, out, _ = run(capsys, ["verify", k2_json, k2_json, "--json"])
         assert code == 0
-        reports = json.loads(out)
+        doc = json.loads(out)
+        assert space_from_json(doc["base"]).points == space_from_json(doc["second"]).points
+        reports = doc["reports"]
         names = [r["theorem"] for r in reports]
         assert names == [
             "dimension",
@@ -97,6 +99,7 @@ class TestVerify:
             "squash",
         ]
         assert all(r["pass"] is not False for r in reports)
+        assert all("skipped" not in r and "base_table" not in r["witnesses"] for r in reports)
 
     def test_skip_is_not_failure(self, capsys, k2_json):
         code, out, _ = run(capsys, ["verify", k2_json, k2_json, "--theorem", "corollaries"])
@@ -204,7 +207,7 @@ class TestCorpus:
         assert code == 0
         pairs = json.loads(out)["pairs"]
         assert len(pairs) == 10
-        assert all(p["base_points"] * p["second_points"] <= 8 for p in pairs)
+        assert all(len(p["base"]["points"]) * len(p["second"]["points"]) <= 8 for p in pairs)
 
     def test_guard_below_two_by_two_exits_two(self, capsys):
         code, out, err = run(capsys, ["corpus", "--seed", "1", "--max-product-points", "3"])
@@ -392,6 +395,9 @@ GOLDEN = [
     ("verify-nonmetric-k2-json", "verify nonmetric.json k2.json --json", 2),
     ("verify-far-w3", "verify far.json w3.json", 0),
     ("verify-k2-far-path", "verify k2.json far-path.json", 0),
+    # Each distance is within the tolerance of the next, the first and last are not, and
+    # the squash merges those two.
+    ("verify-k2-merge-chain", "verify k2.json merge-chain.json", 0),
     # Its path sums are not exact in binary: only a symmetric table passes at tolerance 0.
     ("verify-weighted-path-k2-tol0", "verify weighted-path.edges k2.json --tolerance 0", 0),
     # chain.json has no twin partition at its tolerance: only the reports that read one fail.
@@ -425,6 +431,7 @@ GOLDEN = [
     ("error-table-huge", "stats table-huge.json", 2),
     ("error-table-bool", "stats table-bool.json", 2),
     ("error-table-string", "stats table-string.json", 2),
+    ("error-points-bool", "stats points-bool.json", 2),
     ("error-unknown-command", "frobnicate", 2),
     ("error-no-arguments", "", 2),
     ("error-gravitate-needs-t", "gravitate p4.edges", 2),
@@ -481,3 +488,24 @@ def test_golden_output_is_the_same_on_a_warm_memo(capsys, monkeypatch):
         assert any(type(pickle.loads(key)) is list for key in resolving._TABLES) == warm
         for name, command, code in GOLDEN:
             _assert_golden(name, code, *run(capsys, command.split()))
+
+
+# Every verify and corpus row that prints a document.
+PAIR_DOCUMENTS = [
+    (name, command)
+    for name, command, code in GOLDEN
+    if command.startswith(("verify ", "corpus ")) and "--json" in command and code != 2
+]
+
+
+@pytest.mark.parametrize("name, command", PAIR_DOCUMENTS, ids=[name for name, _ in PAIR_DOCUMENTS])
+def test_json_golden_replays_from_its_inputs(name, command):
+    """Each pair rebuilt from its document's "base" and "second" and checked again
+    under the row's options gives the document's reports back."""
+    doc = json.loads((GOLDEN_DIR / f"{name}.out").read_text())
+    args = _build_parser().parse_args(command.split())
+    checks = _THEOREMS["all" if args.command == "corpus" else args.theorem]
+    for pair in doc["pairs"] if args.command == "corpus" else [doc]:
+        base, second = space_from_json(pair["base"]), space_from_json(pair["second"])
+        reports = [r.to_json_dict() for r in checks(args, base, second)]
+        assert json.loads(json_text(reports)) == pair["reports"], name

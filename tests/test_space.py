@@ -39,6 +39,7 @@ K2_TABLE = [[0, 1], [1, 0]]
 NOT_NUMBERS = {
     "null": None, "list": [1e-9], "object": {"value": 1e-9}, "bool": True, "string": "1e-6"
 }
+NOT_LABELS = {"bool": True, "null": None, "int": 1, "list": ["b"]}
 
 
 def p3():
@@ -264,6 +265,11 @@ class TestJsonFormat:
             ([["a", "b"], K2_TABLE], "JSON object"),
             # A string would otherwise be split into one label per character.
             ({"points": "ab", "d": K2_TABLE}, '"points" must be a list'),
+            # str would otherwise spell each as a label: "True", "None", "1", "['b']".
+            *[
+                (dict(points=["a", bad], d=K2_TABLE), '"points" must be a list of labels')
+                for bad in NOT_LABELS.values()
+            ],
             *[
                 (dict(points=["a", "b"], d=K2_TABLE, tolerance=bad), '"tolerance" must be a number')
                 for bad in NOT_NUMBERS.values()
@@ -277,6 +283,7 @@ class TestJsonFormat:
         ids=[
             "array",
             "points-string",
+            *(f"points-{kind}" for kind in NOT_LABELS),
             *(f"tolerance-{kind}" for kind in NOT_NUMBERS),
             *(f"d-{kind}" for kind in NOT_NUMBERS),
         ],

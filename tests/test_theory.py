@@ -5,11 +5,13 @@ import json
 import pickle
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexmetric import space as space_module
 from lexmetric.construct import (
     complete_graph,
     cycle_graph,
@@ -83,7 +85,11 @@ class TestVerifyDimension:
         assert w["product_points"] == 6
         assert w["fiber_dimensions"] == {"v1": 1, "v2": 1}
         assert w["special_classes"] == [["v1", "v2"]]
-        assert len(w["base_table"]) == 2 and len(w["second_table"]) == 3
+        # The inputs are stated once, by the CLI's pair document, not by each report.
+        assert set(w) == {
+            "product_points", "product_basis", "fiber_dimensions", "special_classes",
+            "twin_classes",
+        }
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded, match="42"):
@@ -139,7 +145,8 @@ class TestVerifyCorollaries:
 
     def test_skipped_report_serializes_with_flag(self):
         doc = verify_corollaries(K3, K2)[0].to_json_dict()
-        assert doc["skipped"] is True and doc["pass"] is None
+        assert set(doc) == {"theorem", "lhs", "rhs", "pass", "witnesses"}
+        assert (doc["lhs"], doc["rhs"], doc["pass"]) == (None, None, None)
 
     def test_applicable_corollary_matches_general_formula(self):
         for base, second in ((P4, K2), (K2, HALF_PAIR), (P4, HALF_PAIR)):
@@ -176,10 +183,21 @@ class TestVerifySquash:
             (1, [[0, 3], [3, 0]], 0.25),
             # 0 and 1 are apart, but their images 0 and 3/4 are exactly the tolerance apart
             (3, [[0, 1], [1, 0]], 0.75),
+            # each distance is within the tolerance of the next, but the first and last are
+            # not, and their images are: no two sorted neighbours merge
+            (
+                1,
+                [
+                    [0, 1.9999999990000001, 1.999999998],
+                    [1.9999999990000001, 0, 1.999999999],
+                    [1.999999998, 1.999999999, 0],
+                ],
+                1e-9,
+            ),
         ],
         ids=[
             "far-path", "far-pair", "gap-at-tolerance", "diameter-at-tolerance",
-            "images-at-tolerance",
+            "images-at-tolerance", "tolerance-chain",
         ],
     )
     def test_a_squash_that_merges_distances_is_skipped(self, nearness, table, tolerance):
@@ -192,6 +210,15 @@ class TestVerifySquash:
                 "reason": "squashing merges distances the tolerance tells apart",
                 "base_nearness": float(nearness),
             }
+
+    @pytest.mark.parametrize("budget", [1, 8])
+    def test_a_chain_merge_is_found_in_any_row_block(self, budget):
+        """Row blocks of one and of two of the four distinct entries find the one pair
+        that merges, the first and last entries of the chain."""
+        a, b, c = 1.9999999990000001, 1.999999998, 1.999999999
+        second = FiniteMetricSpace(("y1", "y2", "y3"), [[0, a, b], [a, 0, c], [b, c, 0]])
+        with mock.patch.object(space_module, "_BLOCK_ENTRIES", budget):
+            assert verify_squash(K2, second).skipped
 
     def test_distances_exactly_the_tolerance_apart_may_merge(self):
         """1 and 1.25 are one distance at tolerance 0.25, so their images 1/2 and 5/9
