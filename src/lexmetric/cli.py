@@ -54,7 +54,7 @@ def _load(path: str, kind: str | None, tolerance: float | None, finite: bool) ->
     kind = kind or ("edges" if path.endswith(".edges") else "json")
     space = graph_metric(load_graph(path)) if kind == "edges" else load_space(path)
     if tolerance is not None:
-        space = FiniteMetricSpace(space.points, space.dist, tolerance, name=space.name)
+        space = FiniteMetricSpace(space.points, space.dist, tolerance)
     if finite:
         try:
             _require_finite(space)

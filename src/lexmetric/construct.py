@@ -186,7 +186,7 @@ def gravitational(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
         raise ValueError("the gravitation constant t must be positive and finite")
     _require_finite(space)
     capped = np.minimum(space.dist, 2.0 * t)
-    return _trusted_space(space.points, space._index, capped, space.tolerance, space.name)
+    return _trusted_space(space.points, space._index, capped, space.tolerance)
 
 
 def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -216,7 +216,7 @@ def squash(eta: float, space: FiniteMetricSpace) -> FiniteMetricSpace:
             raise ValueError(
                 f"squash: d({u!r}, {v!r}) = {space.d(u, v)} has no finite image at eta = {eta}"
             )
-    return _trusted_space(space.points, space._index, squashed, space.tolerance, space.name)
+    return _trusted_space(space.points, space._index, squashed, space.tolerance)
 
 
 @dataclass(frozen=True)
@@ -311,25 +311,20 @@ def lexicographic(first: FiniteMetricSpace, second: FiniteMetricSpace) -> Produc
         blocks[base, :, base, :] = np.minimum(2.0 * near[:, None, None], second.dist)
     tolerance = max(first.tolerance, second.tolerance)
     # Both factors are finite, so every entry is.
-    product = _trusted_space(labels, index, table, tolerance, "lexicographic product")
+    product = _trusted_space(labels, index, table, tolerance)
     return ProductSpace(product, first.points, second.points)
 
 
 def fiber(product: ProductSpace, x: str) -> FiniteMetricSpace:
     """The fiber over base point ``x`` as a standalone space.
 
-    Points are relabeled back to the second factor's labels; the name field
-    records where the fiber came from. The table equals the second factor's
-    metric capped at twice the nearness of ``x``.
+    Points are relabeled back to the second factor's labels. The table equals
+    the second factor's metric capped at twice the nearness of ``x``.
     """
     if x not in product.base_points:
         raise KeyError(f"unknown base point {x!r}")
     labels = [lbl for lbl in product.space.points if product.base_of[lbl] == x]
     idx = [product.space.index(lbl) for lbl in labels]
     table = product.space.dist[np.ix_(idx, idx)]
-    return FiniteMetricSpace(
-        tuple(product.fiber_of[lbl] for lbl in labels),
-        table,
-        product.space.tolerance,
-        name=f"fiber over {x}",
-    )
+    points = tuple(product.fiber_of[lbl] for lbl in labels)
+    return FiniteMetricSpace(points, table, product.space.tolerance)

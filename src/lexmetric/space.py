@@ -36,7 +36,6 @@ class FiniteMetricSpace:
 
     Instances are immutable: the table is stored read-only and every
     operation on spaces is a pure function, safe for concurrent use.
-    ``name`` is a free-form provenance note and carries no semantics.
     The table's finiteness, its first asymmetric pair in label order and every
     point's nearness are worked out on first use and kept with the object, as
     the table cannot change; a failed check raises the same error every time.
@@ -45,7 +44,6 @@ class FiniteMetricSpace:
     points: tuple[str, ...]
     dist: np.ndarray
     tolerance: float = DEFAULT_TOLERANCE
-    name: str = ""
 
     def __post_init__(self) -> None:
         if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
@@ -94,8 +92,7 @@ class FiniteMetricSpace:
         return float(self.dist[self.index(u), self.index(v)])
 
     def __repr__(self) -> str:
-        tag = f", name={self.name!r}" if self.name else ""
-        return f"FiniteMetricSpace(n={self.n}, points={list(self.points)!r}{tag})"
+        return f"FiniteMetricSpace(n={self.n}, points={list(self.points)!r})"
 
     @cached_property
     def _finite(self) -> bool:
@@ -118,8 +115,7 @@ class FiniteMetricSpace:
 
 
 def _trusted_space(
-    points: tuple[str, ...], index: dict[str, int], dist: np.ndarray, tolerance: float,
-    name: str,
+    points: tuple[str, ...], index: dict[str, int], dist: np.ndarray, tolerance: float
 ) -> FiniteMetricSpace:
     """A space from parts already checked, without the constructor's checks and copy.
 
@@ -128,9 +124,7 @@ def _trusted_space(
     """
     space = object.__new__(FiniteMetricSpace)
     dist.flags.writeable = False
-    vars(space).update(
-        points=points, dist=dist, tolerance=tolerance, name=name, _index=index, _finite=True
-    )
+    vars(space).update(points=points, dist=dist, tolerance=tolerance, _index=index, _finite=True)
     return space
 
 
@@ -337,7 +331,7 @@ def json_text(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
+def space_from_json(obj: dict) -> FiniteMetricSpace:
     """Build a space from the dict form; "tolerance" is optional."""
     if not isinstance(obj, dict):
         raise ValueError("metric document must be a JSON object")
@@ -353,7 +347,7 @@ def space_from_json(obj: dict, *, name: str = "") -> FiniteMetricSpace:
     if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in entries):
         raise ValueError('"d" entries must be numbers')
     tolerance = obj.get("tolerance", DEFAULT_TOLERANCE)
-    return FiniteMetricSpace(tuple(points), obj["d"], tolerance, name)
+    return FiniteMetricSpace(tuple(points), obj["d"], tolerance)
 
 
 def load_space(path: str) -> FiniteMetricSpace:
@@ -363,7 +357,7 @@ def load_space(path: str) -> FiniteMetricSpace:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     try:
-        return space_from_json(obj, name=path)
+        return space_from_json(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -18,6 +18,7 @@ from .construct import (
     DisconnectedGraphError,
     Graph,
     ProductSpace,
+    _require_factors,
     _shortest_paths,
     graph_metric,
     gravitational,
@@ -79,12 +80,16 @@ class _Pair:
     use, so a report that reads no twin partition never forms one. The twin
     partition and the fiber, factor and special-class solves come from the
     functions that compute them, which keep each per table in the process-wide
-    memo. One fiber is built per distinct nearness value.
+    memo. One fiber is built per distinct nearness value. A pair of factors that
+    :func:`lexicographic` rejects is refused here, whichever report is asked for.
     """
 
     base: FiniteMetricSpace
     second: FiniteMetricSpace
     max_product_points: int = DEFAULT_PRODUCT_CAP
+
+    def __post_init__(self) -> None:
+        _require_factors(self.base, self.second)
 
     def _guard(self) -> None:
         total = self.base.n * self.second.n
@@ -171,7 +176,8 @@ class _Pair:
             twins_free = VerificationReport("corollary-twins-free", None, None, None, reason)
 
         second_diameter, near = self.second_diameter, self.stats.nearness
-        if second_diameter < near:
+        # A diameter within the tolerance of the nearness is at it, as in the special-class test.
+        if near - second_diameter > max(self.base.tolerance, self.second.tolerance):
             lhs = self.product_solve.dimension
             dim_second = _table_solve(self.second)[1]
             rhs = self.base.n * dim_second
@@ -266,10 +272,10 @@ def verify_corollaries(
     """The two special cases, each gated by its own applicability test.
 
     Twins-free base: the product dimension is the plain sum of fiber
-    dimensions. Second factor with diameter below the base nearness: every
-    cap is inactive, and the product dimension is the base size times the
-    second factor's dimension. A case whose precondition fails is reported
-    as skipped, never as failed.
+    dimensions. Second factor with diameter below the base nearness by more
+    than the tolerance: every cap is inactive, and the product dimension is
+    the base size times the second factor's dimension. A case whose
+    precondition fails is reported as skipped, never as failed.
     """
     return _Pair(base, second, max_product_points).corollary_reports()
 

@@ -398,6 +398,9 @@ GOLDEN = [
     # Each distance is within the tolerance of the next, the first and last are not, and
     # the squash merges those two.
     ("verify-k2-merge-chain", "verify k2.json merge-chain.json", 0),
+    # The diameter is within the tolerance of the nearness, so the small-diameter corollary
+    # does not apply.
+    ("verify-k2-just-below", "verify k2.json just-below.json", 0),
     # Its path sums are not exact in binary: only a symmetric table passes at tolerance 0.
     ("verify-weighted-path-k2-tol0", "verify weighted-path.edges k2.json --tolerance 0", 0),
     # chain.json has no twin partition at its tolerance: only the reports that read one fail.
@@ -424,6 +427,13 @@ GOLDEN = [
     # Just above the pole: eta*d overflows and the image eta/(eta/d + 1) is -inf.
     ("error-squash-overflow", "squash near-pole.json --eta 1e300", 2),
     ("error-verify-k2-negative", "verify k2.json negative.json", 2),
+    # Every --theorem refuses factors that form no product, whether or not it builds one.
+    (
+        "error-verify-zero-near-corollaries",
+        "verify zero-near.json k2.json --theorem corollaries",
+        2,
+    ),
+    ("error-verify-k2-nonmetric-squash", "verify k2.json nonmetric.json --theorem squash", 2),
     ("error-gravitate-t-inf", "gravitate p4.edges --t inf", 2),
     ("error-tolerance-inf", "stats p4.edges --tolerance inf", 2),
     ("error-tolerance-null", "stats tolerance-null.json", 2),

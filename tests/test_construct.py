@@ -453,9 +453,6 @@ class TestFiber:
         with pytest.raises(KeyError, match="unknown base"):
             fiber(lexicographic(K2, K2), "zz")
 
-    def test_provenance_note(self):
-        assert "v1" in fiber(lexicographic(K2, K2), "v1").name
-
 
 # Properties over random valid spaces.
 
@@ -630,7 +627,7 @@ def relabeled_factors(draw):
 
 def assert_same_as_rebuilt(space):
     """``space`` equals its copy through the public constructor, down to the table bytes."""
-    again = FiniteMetricSpace(space.points, space.dist, space.tolerance, space.name)
+    again = FiniteMetricSpace(space.points, space.dist, space.tolerance)
     assert space.points == again.points and space.tolerance == again.tolerance
     assert (space.dist.dtype, space.dist.shape) == (again.dist.dtype, again.dist.shape)
     assert space.dist.tobytes() == again.dist.tobytes()

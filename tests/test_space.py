@@ -4,6 +4,7 @@ Expected values in this file are frozen from hand enumeration over the
 stated tables (the tables are small enough to check every pair directly).
 """
 
+import dataclasses
 import json
 import tracemalloc
 from unittest import mock
@@ -113,10 +114,15 @@ class TestConstruction:
         with pytest.raises(KeyError, match="unknown point"):
             p3().d("a", "z")
 
-    def test_repr_shows_the_name_only_when_set(self):
+    def test_repr_shows_the_size_and_labels(self):
         assert repr(p3()) == "FiniteMetricSpace(n=3, points=['a', 'b', 'c'])"
-        named = FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], name="k2.json")
-        assert repr(named) == "FiniteMetricSpace(n=2, points=['a', 'b'], name='k2.json')"
+
+    def test_a_space_is_its_labels_table_and_tolerance(self):
+        assert [f.name for f in dataclasses.fields(FiniteMetricSpace)] == [
+            "points", "dist", "tolerance",
+        ]
+        with pytest.raises(TypeError):
+            FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], name="k2.json")
 
 
 class TestValidate:

@@ -57,6 +57,21 @@ class TestFormulaRhs:
     def test_twins_free_base_is_plain_sum(self):
         assert formula_rhs(P4, K2) == 4
 
+    # An asymmetric base, and a base with two points at distance 0.
+    @pytest.mark.parametrize(
+        "table",
+        [[[0, 2, 3], [4, 0, 2], [1, 3, 0]], [[0, 0, 1], [0, 0, 1], [1, 1, 0]]],
+        ids=["asymmetric", "zero-nearness"],
+    )
+    @pytest.mark.parametrize("check", [formula_rhs, fiber_dimensions])
+    def test_refuses_the_factors_lexicographic_refuses(self, table, check):
+        base = FiniteMetricSpace(("a", "b", "c"), table)
+        with pytest.raises(ValueError) as refused:
+            lexicographic(base, K2)
+        with pytest.raises(ValueError) as raised:
+            check(base, K2)
+        assert str(raised.value) == str(refused.value)
+
 
 class TestVerifyDimension:
     def test_k2_by_k2(self):
@@ -147,6 +162,17 @@ class TestVerifyCorollaries:
         doc = verify_corollaries(K3, K2)[0].to_json_dict()
         assert set(doc) == {"theorem", "lhs", "rhs", "pass", "witnesses"}
         assert (doc["lhs"], doc["rhs"], doc["pass"]) == (None, None, None)
+
+    @pytest.mark.parametrize("base", [K2, P3, K3, C4], ids=["K2", "P3", "K3", "C4"])
+    @pytest.mark.parametrize(
+        "steps, passed", [(-0.5, None), (-1, None), (-2, True), (-3, True)]
+    )
+    def test_small_diameter_applies_only_past_the_tolerance(self, base, steps, passed):
+        # The second factor's diameter sits `steps` tolerances from the base nearness 1:
+        # within one tolerance of it the class is special and the premise does not hold.
+        d = 1 + steps * 1e-9
+        second = FiniteMetricSpace(("y1", "y2"), [[0, d], [d, 0]])
+        assert verify_corollaries(base, second)[1].passed is passed
 
     def test_applicable_corollary_matches_general_formula(self):
         for base, second in ((P4, K2), (K2, HALF_PAIR), (P4, HALF_PAIR)):
@@ -271,8 +297,14 @@ class TestCorpusGenerators:
 
     def test_random_connected_graph_is_connected(self):
         rng = np.random.default_rng(11)
-        for n in (2, 3, 5, 7):
-            graph_metric(random_connected_graph(rng, n))
+        for extra_edge_prob in (0.3, 0.0, 1.0):
+            for n in (2, 3, 5, 7):
+                graph = random_connected_graph(rng, n, extra_edge_prob)
+                graph_metric(graph)
+                # No extra edge leaves the spanning tree; every one makes the complete graph.
+                if extra_edge_prob in (0.0, 1.0):
+                    complete = n * (n - 1) // 2
+                    assert len(graph.edges) == (n - 1 if extra_edge_prob == 0.0 else complete)
 
     @pytest.mark.parametrize(
         "draw, message",
