@@ -9,6 +9,7 @@ value; requests past the size guards raise instead of degrading.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,13 @@ from .space import (
     diameter,
     space_stats,
 )
-from .twins import SpecialClassSet, TwinPartition, _special_classes, twin_classes
+from .twins import (
+    SpecialClassSet,
+    TwinPartition,
+    _failing_basis,
+    _special_classes,
+    twin_classes,
+)
 
 DEFAULT_PRODUCT_CAP = 36
 
@@ -72,16 +79,33 @@ class VerificationReport:
         }
 
 
+# Each factor object's record of what _Pair has worked out about it. As a base: its
+# statistics and twin partition. As a second factor: its diameter and dimension; per
+# nearness value t, its fiber (capped at 2 t) with the fiber's dimension; per fiber, gap
+# and tolerance, the special-class answer; and per nearness and tolerance, its squash
+# with the squash report's facts. No value refers to its factor, so a record goes with
+# its factor, and no value is handed to a caller.
+_FACTORS: weakref.WeakKeyDictionary[FiniteMetricSpace, dict] = weakref.WeakKeyDictionary()
+
+
+def _kept(record: dict, key, compute):
+    """``record[key]``, worked out by ``compute()`` on first use; nothing is kept if it raises.
+
+    Two threads may both work it out; ``setdefault`` keeps one, and both return it.
+    """
+    return record[key] if key in record else record.setdefault(key, compute())
+
+
 @dataclass(eq=False)
 class _Pair:
     """One verified pair: each object the reports share is computed once.
 
-    Holds the base statistics, the product and its solve, each worked out on first
-    use, so a report that reads no twin partition never forms one. The twin
-    partition and the fiber, factor and special-class solves come from the
-    functions that compute them, which keep each per table in the process-wide
-    memo. One fiber is built per distinct nearness value. A pair of factors that
-    :func:`lexicographic` rejects is refused here, whichever report is asked for.
+    Holds the product and its solve, each worked out on first use, so a report that
+    reads no twin partition never forms one. What depends on one factor alone is kept
+    in that factor's record in ``_FACTORS``, so a pair whose factors were seen before
+    builds and solves only its two products. One fiber is built per distinct nearness
+    value. A pair of factors that :func:`lexicographic` rejects is refused here,
+    whichever report is asked for.
     """
 
     base: FiniteMetricSpace
@@ -90,6 +114,8 @@ class _Pair:
 
     def __post_init__(self) -> None:
         _require_factors(self.base, self.second)
+        self.left, self.right = (_FACTORS.setdefault(f, {}) for f in (self.base, self.second))
+        self.tol = max(self.base.tolerance, self.second.tolerance)
 
     def _guard(self) -> None:
         total = self.base.n * self.second.n
@@ -101,15 +127,19 @@ class _Pair:
 
     @cached_property
     def stats(self) -> SpaceStats:
-        return space_stats(self.base)
+        return _kept(self.left, "stats", lambda: space_stats(self.base))
 
     @cached_property
     def partition(self) -> TwinPartition:
-        return twin_classes(self.base)
+        return _kept(self.left, "twins", lambda: twin_classes(self.base))
 
     @cached_property
     def second_diameter(self) -> float:
-        return diameter(self.second)
+        return _kept(self.right, "diameter", lambda: diameter(self.second))
+
+    @cached_property
+    def second_dimension(self) -> int:
+        return _kept(self.right, "dimension", lambda: _table_solve(self.second)[1])
 
     @cached_property
     def product(self) -> ProductSpace:
@@ -120,21 +150,29 @@ class _Pair:
     def product_solve(self) -> ResolveResult:
         return metric_dimension(self.product.space)
 
-    @cached_property
-    def fibers(self) -> dict[float, FiniteMetricSpace]:
-        """The second factor capped at twice each distinct nearness value of the base."""
-        near = self.stats.nearness_per_point.values()
-        return {t: gravitational(self.second, t) for t in set(near)}
+    def fiber(self, t: float) -> tuple[FiniteMetricSpace, int]:
+        """The second factor capped at ``2 t``, and its dimension."""
+        def build() -> tuple[FiniteMetricSpace, int]:
+            fib = gravitational(self.second, t)
+            return fib, _table_solve(fib)[1]
+
+        return _kept(self.right, ("fiber", t), build)
 
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:
-        dims = {v: _table_solve(fib)[1] for v, fib in self.fibers.items()}
-        return {x: dims[v] for x, v in self.stats.nearness_per_point.items()}
+        near = self.stats.nearness_per_point
+        dims = {t: self.fiber(t)[1] for t in set(near.values())}
+        return {x: dims[t] for x, t in near.items()}
 
     @cached_property
     def special(self) -> SpecialClassSet:
-        fiber = {x: self.fibers[t] for x, t in self.stats.nearness_per_point.items()}
-        return _special_classes(self.base, self.second, self.partition, fiber.__getitem__)
+        near, tol = self.stats.nearness_per_point, self.tol
+
+        def failing(x: str, gap: float) -> tuple[str, ...] | None:
+            key = "special", near[x], gap, tol
+            return _kept(self.right, key, lambda: _failing_basis(self.fiber(key[1])[0], gap, tol))
+
+        return _special_classes(self.partition, failing)
 
     @cached_property
     def rhs(self) -> int:
@@ -157,13 +195,12 @@ class _Pair:
         stats = self.stats
         lhs = diameter(self.product.space)
         rhs = max(stats.diameter, min(2.0 * stats.slack, self.second_diameter))
-        tol = max(self.base.tolerance, self.second.tolerance)
         witnesses = {
             "base_diameter": stats.diameter,
             "base_slack": stats.slack,
             "second_diameter": self.second_diameter,
         }
-        return VerificationReport("diameter", lhs, rhs, bool(abs(lhs - rhs) <= tol), witnesses)
+        return VerificationReport("diameter", lhs, rhs, bool(abs(lhs - rhs) <= self.tol), witnesses)
 
     def corollary_reports(self) -> list[VerificationReport]:
         if not self.partition.non_singleton_classes:
@@ -177,9 +214,9 @@ class _Pair:
 
         second_diameter, near = self.second_diameter, self.stats.nearness
         # A diameter within the tolerance of the nearness is at it, as in the special-class test.
-        if near - second_diameter > max(self.base.tolerance, self.second.tolerance):
+        if near - second_diameter > self.tol:
             lhs = self.product_solve.dimension
-            dim_second = _table_solve(self.second)[1]
+            dim_second = self.second_dimension
             rhs = self.base.n * dim_second
             witnesses = {
                 "second_dimension": dim_second,
@@ -197,9 +234,9 @@ class _Pair:
             small = VerificationReport("corollary-small-diameter", None, None, None, reason)
         return [twins_free, small]
 
-    def squash_report(self) -> VerificationReport:
-        self._guard()
-        near = self.stats.nearness
+    def squashed(self, near: float) -> tuple[FiniteMetricSpace, float, int | None]:
+        """The second factor squashed at ``near``, its diameter, and its dimension, which is
+        None when the squash merges distances the tolerance tells apart."""
         squashed = squash(near, self.second)
         squashed_diameter = diameter(squashed)
         # The tolerance is not transitive: entries that chain within it can span more than
@@ -207,24 +244,31 @@ class _Pair:
         # compared, by subtraction. In float64 the squash rounds distances past about 2**52
         # times the nearness together.
         entries, first = np.unique(self.second.dist, return_index=True)
-        images, gap = squashed.dist.ravel()[first], self.second.tolerance
-        tol = max(self.base.tolerance, gap)
+        images, gap, tol = squashed.dist.ravel()[first], self.second.tolerance, self.tol
         if near - squashed_diameter <= tol or any(
             np.any((entries[r, None] - entries > gap) & (images[r, None] - images <= tol))
             for r in _row_blocks(len(entries), len(entries))
         ):
+            return squashed, squashed_diameter, None
+        return squashed, squashed_diameter, _table_solve(squashed)[1]
+
+    def squash_report(self) -> VerificationReport:
+        self._guard()
+        near = self.stats.nearness
+        squashed, squashed_diameter, dim_squashed = _kept(
+            self.right, ("squash", near, self.tol), lambda: self.squashed(near)
+        )
+        if dim_squashed is None:
             reason = "squashing merges distances the tolerance tells apart"
             witnesses = {"reason": reason, "base_nearness": near}
             return VerificationReport("squash", None, None, None, witnesses)
         product = lexicographic(self.base, squashed)
         lhs = metric_dimension(product.space).dimension
-        dim_second = _table_solve(self.second)[1]
-        dim_squashed = _table_solve(squashed)[1]
-        rhs = self.base.n * dim_second
+        rhs = self.base.n * self.second_dimension
         passed = lhs == rhs and lhs == self.base.n * dim_squashed
         witnesses = {
             "base_nearness": near,
-            "second_dimension": dim_second,
+            "second_dimension": self.second_dimension,
             "squashed_dimension": dim_squashed,
             "squashed_diameter": squashed_diameter,
             "product_points": product.space.n,
@@ -303,7 +347,11 @@ def verify_all(
     second: FiniteMetricSpace,
     max_product_points: int = DEFAULT_PRODUCT_CAP,
 ) -> list[VerificationReport]:
-    """Run every check for one pair, in a fixed order, on one shared evaluation."""
+    """Run every check for one pair, in a fixed order, on one shared evaluation.
+
+    What depends on one factor alone is worked out once per factor object, so a pair
+    whose factors were seen before builds and solves only its two products.
+    """
     pair = _Pair(base, second, max_product_points)
     return [
         pair.dimension_report(),

@@ -135,24 +135,15 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     Raises ValueError on a pair of factors that :func:`lexicographic` rejects.
     """
     near = dict(zip(base.points, _require_factors(base, second).tolist()))
+    tol = max(base.tolerance, second.tolerance)
     partition = twin_classes(base)
-    return _special_classes(base, second, partition, lambda x: gravitational(second, near[x]))
+    return _special_classes(
+        partition, lambda x, gap: _failing_basis(gravitational(second, near[x]), gap, tol)
+    )
 
 
 def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str, ...] | None:
-    """The least basis of ``fib`` with no far witness at ``gap``, or None; see below."""
-    family, dimension = _table_solve(fib)
-    must_hit = np.abs(fib.dist - gap) > tol
-    if not must_hit.any(axis=1).all():  # a point with nothing off the gap is a far witness
-        return None
-    found = _least_basis(fib, family, must_hit)
-    return found.basis if found.dimension == dimension else None
-
-
-def _special_classes(
-    base: FiniteMetricSpace, second: FiniteMetricSpace, partition: TwinPartition, fiber
-) -> SpecialClassSet:
-    """:func:`special_classes` on a partition at hand; ``fiber(x)`` is the fiber over ``x``.
+    """The least basis of ``fib`` with no far witness at ``gap``, or None.
 
     A basis B has no far witness when, for every fiber point z, B meets the
     points off the gap from z. One solve per distinct fiber, gap and tolerance
@@ -160,15 +151,28 @@ def _special_classes(
     when its size is the fiber dimension. It starts from the minimal
     distinguisher sets of the fiber's plain solve; both are kept per table.
     """
-    tol = max(base.tolerance, second.tolerance)
+    def solve() -> tuple[str, ...] | None:
+        family, dimension = _table_solve(fib)
+        must_hit = np.abs(fib.dist - gap) > tol
+        if not must_hit.any(axis=1).all():  # a point with nothing off the gap is a far witness
+            return None
+        found = _least_basis(fib, family, must_hit)
+        return found.basis if found.dimension == dimension else None
+
+    return _TABLES.recall((_table_key(fib), gap, tol), solve)
+
+
+def _special_classes(partition: TwinPartition, failing) -> SpecialClassSet:
+    """:func:`special_classes` on a partition at hand.
+
+    ``failing(x, gap)`` is :func:`_failing_basis` of the fiber over ``x`` at ``gap``.
+    """
     members_out: list[tuple[str, ...]] = []
     counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
     for cls in partition.non_singleton_classes:
         gap = partition.gap[cls]
         for x in cls:
-            fib = fiber(x)
-            key = _table_key(fib), gap, tol
-            found = _TABLES.recall(key, lambda: _failing_basis(fib, gap, tol))
+            found = failing(x, gap)
             if found is not None:
                 counterexamples[cls] = (x, found)
                 break

@@ -2,13 +2,14 @@
 
 import pytest
 
-from lexmetric import construct, resolving
+from lexmetric import construct, resolving, theory
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Empty the per-table memo, the pair-index cache and the product-label cache, so no
-    test sees another's entries."""
+    """Empty the per-table memo, the per-factor records, the pair-index cache and the
+    product-label cache, so no test sees another's entries."""
     resolving._TABLES.clear()
+    theory._FACTORS.clear()
     resolving._pair_index.cache_clear()
     construct._product_labels.cache_clear()

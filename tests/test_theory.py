@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexmetric import space as space_module
+from lexmetric import theory as theory_module
 from lexmetric.construct import (
     complete_graph,
     cycle_graph,
@@ -22,7 +23,7 @@ from lexmetric.construct import (
     squash,
 )
 from lexmetric.resolving import metric_dimension
-from lexmetric.space import FiniteMetricSpace, validate
+from lexmetric.space import FiniteMetricSpace, space_stats, validate
 from lexmetric.theory import (
     SizeGuardExceeded,
     connected_graph_spaces,
@@ -38,6 +39,7 @@ from lexmetric.theory import (
     verify_squash,
     weighted_corpus_spaces,
 )
+from lexmetric.twins import twin_classes
 
 from test_construct import HALF_PAIR, K2
 
@@ -408,13 +410,18 @@ def test_verify_all_matches_the_single_report_functions(pairs):
         assert together == [r.to_json_dict() for r in apart], (base.points, second.points)
 
 
+FACT_CALLS = ("gravitational", "squash", "twin_classes", "_asymmetric")
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every product built and every table whose separator words are built."""
+    """Record every product built and every table whose separator words are built, and
+    count the calls that work out a factor's facts: fibers (``gravitational``), squashed
+    factors, twin partitions and symmetry checks (``_asymmetric``)."""
     import lexmetric.resolving as resolving
     import lexmetric.theory as theory
 
-    calls = {"products": 0, "solves": []}
+    calls = {"products": 0, "solves": [], "facts": dict.fromkeys(FACT_CALLS, 0)}
 
     def lexicographic(first, second):
         calls["products"] += 1
@@ -426,10 +433,21 @@ def counted(monkeypatch):
         calls["solves"].append((space.points, space.dist.tobytes()))
         return real_separator_words(space)
 
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls["facts"][name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
     real_lexicographic = theory.lexicographic
     real_separator_words = resolving._separator_words
     monkeypatch.setattr(theory, "lexicographic", lexicographic)
     monkeypatch.setattr(resolving, "_separator_words", separator_words)
+    for name in FACT_CALLS:
+        counting(space_module if name == "_asymmetric" else theory, name)
     return calls
 
 
@@ -448,7 +466,7 @@ def test_verify_all_builds_two_products_and_solves_each_table_once(counted, base
 def test_verify_all_past_the_guard_raises_before_any_solve(counted):
     with pytest.raises(SizeGuardExceeded, match="42"):
         verify_all(discrete_metric(7), discrete_metric(6))
-    assert counted == {"products": 0, "solves": []}
+    assert (counted["products"], counted["solves"]) == (0, [])
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -484,8 +502,11 @@ def test_the_memo_holds_one_solve_entry_per_solved_table(counted):
 
 
 def test_second_verify_all_of_a_pair_solves_only_the_products(counted, monkeypatch):
-    """Fiber, factor and special-class results come from the per-table memo the
-    first run filled; only the two products are built and solved again."""
+    """Fiber, factor, squash and special-class results come from the records the first
+    run kept with its two factors; only the two products are built and solved again. A
+    new base of the same nearness with the same second factor builds no new fiber and
+    no new squashed factor: its twin classes are its own, and its special classes are
+    answered from the kept fiber."""
     import lexmetric.twins as twins
 
     constrained = []
@@ -498,13 +519,61 @@ def test_second_verify_all_of_a_pair_solves_only_the_products(counted, monkeypat
     monkeypatch.setattr(twins, "_least_basis", least_basis)
     first = json.dumps([r.to_json_dict() for r in verify_all(C4, P4)])
     assert constrained and len(counted["solves"]) == 5
+    assert [counted["facts"][name] for name in FACT_CALLS[:3]] == [1, 1, 1]
     counted["solves"].clear()
+    counted["facts"] = dict.fromkeys(FACT_CALLS, 0)
     constrained.clear()
     second = json.dumps([r.to_json_dict() for r in verify_all(C4, P4)])
     assert second == first
     assert constrained == []
+    assert counted["facts"] == dict.fromkeys(FACT_CALLS, 0)
     assert len(counted["solves"]) == 2
     assert all(len(points) == C4.n * P4.n for points, _ in counted["solves"])
+
+    counted["solves"].clear()
+    k3 = graph_metric(complete_graph(3))  # a new object, whose symmetry is checked once
+    reports = [r.to_json_dict() for r in verify_all(k3, P4)]
+    assert constrained  # K3's twin gap is 1, C4's is 2
+    only_the_base = {"gravitational": 0, "squash": 0, "twin_classes": 1, "_asymmetric": 1}
+    assert counted["facts"] == only_the_base
+    assert len(counted["solves"]) == 2
+    assert all(len(points) == K3.n * P4.n for points, _ in counted["solves"])
+    theory_module._FACTORS.clear()
+    assert reports == [r.to_json_dict() for r in verify_all(K3, graph_metric(path_graph(4)))]
+
+
+def test_nothing_handed_back_reaches_a_factor_record():
+    """Changing what one ``verify_all`` and the factor functions handed back changes no
+    later report of a pair that shares either factor."""
+    pairs = [(C4, P4), (C4, K2), (K3, P4), (P4, C4)]
+    expected = [json.dumps([r.to_json_dict() for r in verify_all(b, s)]) for b, s in pairs]
+    theory_module._FACTORS.clear()
+    witnesses = verify_all(C4, P4)[0].witnesses
+    witnesses["fiber_dimensions"]["v1"] = 7
+    for members in witnesses["twin_classes"]:
+        members.append("v9")
+    fiber_dimensions(C4, P4)["v1"] = 7
+    space_stats(C4).nearness_per_point["v1"] = 7.0
+    space_stats(P4).nearness_per_point.clear()
+    for space in (C4, P4):
+        partition = twin_classes(space)
+        for cls in list(partition.gap):
+            partition.gap[cls] = 7.0
+            partition.class_nearness[cls] = 7.0
+    assert [json.dumps([r.to_json_dict() for r in verify_all(b, s)]) for b, s in pairs] == expected
+
+
+def test_a_factor_record_lasts_as_long_as_its_factor():
+    """The record of a factor holds nothing that keeps the factor alive."""
+    import gc
+
+    base, second = graph_metric(cycle_graph(4)), graph_metric(path_graph(4))
+    verify_all(base, second)
+    verify_all(second, base)
+    assert len(theory_module._FACTORS) == 2
+    del base, second
+    gc.collect()
+    assert len(theory_module._FACTORS) == 0
 
 
 def memo_pairs() -> list:
@@ -559,6 +628,7 @@ def test_threads_sharing_the_memo_give_the_serial_reports(monkeypatch, bound):
     pairs = memo_pairs()
     serial = [json.dumps([r.to_json_dict() for r in verify_all(b, s)]) for b, s in pairs]
     resolving._TABLES.clear()
+    theory_module._FACTORS.clear()
     if bound is not None:
         monkeypatch.setattr(resolving, "_MEMO_BYTES", bound)
     results: dict[int, list] = {}
@@ -601,8 +671,10 @@ def test_verify_all_is_the_same_on_a_warm_memo():
     cold = []
     for base, second in pairs:
         resolving._TABLES.clear()
+        theory_module._FACTORS.clear()
         cold.append(json.dumps([r.to_json_dict() for r in verify_all(base, second)]))
     resolving._TABLES.clear()
+    theory_module._FACTORS.clear()
     for order in (range(len(pairs)), reversed(range(len(pairs)))):
         for i in order:
             assert json.dumps([r.to_json_dict() for r in verify_all(*pairs[i])]) == cold[i]
