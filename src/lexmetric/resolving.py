@@ -24,7 +24,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _require_finite, _row_blocks, _table_key
+from .space import FiniteMetricSpace, _require_finite, _row_blocks
 
 DEFAULT_ENUMERATION_CAP = 16
 _MEMO_BYTES = 64 << 20
@@ -550,27 +550,17 @@ def _charge(key: bytes, value: bytes) -> int:
 class _TableMemo(dict):
     """Pickled results under pickled keys, dropped oldest first past ``_MEMO_BYTES``.
 
-    A key is one of five kinds, all canonical: a table's :func:`~lexmetric.space._table_key`
-    tagged ``"twins"`` (its :func:`~lexmetric.twins.twin_classes`) or ``"solve"`` (its
-    :func:`_table_solve`), a special-class solve's ``(table key, gap, tol)``, a reduced
-    family's sets in (size, value) order tagged ``"family"`` (its value: the least hitting
-    set's positions and the component count), or a hitting-set component's sorted, shifted
-    sets. An equal key that pickles otherwise (a label that is the tag's own ``str`` object,
-    say) can only miss, never hit wrongly, as pickle round-trips. Each hit is a fresh copy,
-    so no caller can change what is held. Each entry is charged :func:`_charge`, worked out
-    again when dropped. Entries are stored whole under the lock, though two threads may
-    compute one; ``nbytes`` rises before a store and falls after a drop, so it never reads
-    below the charges held.
+    A key is one of two kinds, both canonical: a reduced family's sets in (size, value)
+    order tagged ``"family"`` (its value: the least hitting set's positions and the
+    component count), or a hitting-set component's sorted, shifted sets. Each hit is a
+    fresh copy, so no caller can change what is held. Each entry is charged
+    :func:`_charge`, worked out again when dropped. Entries are stored whole under the
+    lock, though two threads may compute one; ``nbytes`` rises before a store and falls
+    after a drop, so it never reads below the charges held.
     """
 
     nbytes = 0
     lock = threading.Lock()
-
-    def recall(self, key: tuple, compute):
-        """What ``compute()`` gives, kept under ``key``; nothing is kept when it raises."""
-        packed = pickle.dumps(key)
-        held = self.get(packed)
-        return self.store(packed, compute()) if held is None else pickle.loads(held)
 
     def store(self, key: bytes, value):
         """Keep ``value`` pickled under ``key``, unless an entry is there already; return it."""
@@ -594,13 +584,10 @@ _TABLES = _TableMemo()
 
 
 def _table_solve(space: FiniteMetricSpace) -> tuple[tuple[list[str], list[int]], int]:
-    """A space's :func:`_minimal_family` and metric dimension, once per table."""
-    def solve() -> tuple[tuple[list[str], list[int]], int]:
-        _require_finite(space)
-        family = _minimal_family(space)
-        return family, _least_basis(space, family, np.zeros((0, space.n), bool)).dimension
-
-    return _TABLES.recall((_table_key(space), "solve"), solve)
+    """A space's :func:`_minimal_family` and metric dimension."""
+    _require_finite(space)
+    family = _minimal_family(space)
+    return family, _least_basis(space, family, np.zeros((0, space.n), bool)).dimension
 
 
 def metric_dimension(

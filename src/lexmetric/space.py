@@ -139,11 +139,6 @@ def _asymmetric(space: FiniteMetricSpace) -> np.ndarray:
     return np.abs(space.dist - space.dist.T) > space.tolerance
 
 
-def _table_key(space: FiniteMetricSpace) -> tuple:
-    """What a solve on ``space`` depends on: its labels, tolerance and table."""
-    return space.points, space.tolerance, space.dist.tobytes()
-
-
 class Violation(NamedTuple):
     """One broken axiom: which rule, the points involved, the two compared values."""
 

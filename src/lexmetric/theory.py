@@ -79,12 +79,13 @@ class VerificationReport:
         }
 
 
-# Each factor object's record of what _Pair has worked out about it. As a base: its
-# statistics and twin partition. As a second factor: its diameter and dimension; per
-# nearness value t, its fiber (capped at 2 t) with the fiber's dimension; per fiber, gap
-# and tolerance, the special-class answer; and per nearness and tolerance, its squash
-# with the squash report's facts. No value refers to its factor, so a record goes with
-# its factor, and no value is handed to a caller.
+# Each factor object's record of what _Pair has worked out about it, the only store of
+# these facts. As a base: its statistics and twin partition. As a second factor: its
+# diameter; per effective cap min(2 t, diameter), its fiber with the fiber's minimal
+# family and dimension, the uncapped entry giving its own dimension; per cap, gap and
+# tolerance, the special-class answer; and per nearness and tolerance, its squash with
+# the squash report's facts. No value refers to its factor, so a record goes with its
+# factor, and no value is handed to a caller.
 _FACTORS: weakref.WeakKeyDictionary[FiniteMetricSpace, dict] = weakref.WeakKeyDictionary()
 
 
@@ -103,8 +104,8 @@ class _Pair:
     Holds the product and its solve, each worked out on first use, so a report that
     reads no twin partition never forms one. What depends on one factor alone is kept
     in that factor's record in ``_FACTORS``, so a pair whose factors were seen before
-    builds and solves only its two products. One fiber is built per distinct nearness
-    value. A pair of factors that :func:`lexicographic` rejects is refused here,
+    builds and solves only its two products. One fiber is built per distinct effective
+    cap. A pair of factors that :func:`lexicographic` rejects is refused here,
     whichever report is asked for.
     """
 
@@ -139,7 +140,8 @@ class _Pair:
 
     @cached_property
     def second_dimension(self) -> int:
-        return _kept(self.right, "dimension", lambda: _table_solve(self.second)[1])
+        # Positive, as the base nearness is, and at least the diameter: a t that caps nothing.
+        return self.fiber(max(self.second_diameter, self.stats.nearness))[2]
 
     @cached_property
     def product(self) -> ProductSpace:
@@ -150,18 +152,22 @@ class _Pair:
     def product_solve(self) -> ResolveResult:
         return metric_dimension(self.product.space)
 
-    def fiber(self, t: float) -> tuple[FiniteMetricSpace, int]:
-        """The second factor capped at ``2 t``, and its dimension."""
-        def build() -> tuple[FiniteMetricSpace, int]:
-            fib = gravitational(self.second, t)
-            return fib, _table_solve(fib)[1]
+    def fiber(self, t: float) -> tuple[FiniteMetricSpace, tuple, int]:
+        """The second factor capped at ``2 t``, its minimal family and its dimension.
 
-        return _kept(self.right, ("fiber", t), build)
+        Kept under the effective cap ``min(2 t, diameter)``, so caps at or past the diameter
+        share one entry. It is built from the first ``t`` to reach it, as the cap itself may
+        be no valid ``t``."""
+        def build() -> tuple[FiniteMetricSpace, tuple, int]:
+            fib = gravitational(self.second, t)
+            return (fib, *_table_solve(fib))
+
+        return _kept(self.right, ("fiber", min(2.0 * t, self.second_diameter)), build)
 
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:
         near = self.stats.nearness_per_point
-        dims = {t: self.fiber(t)[1] for t in set(near.values())}
+        dims = {t: self.fiber(t)[2] for t in set(near.values())}
         return {x: dims[t] for x, t in near.items()}
 
     @cached_property
@@ -169,8 +175,8 @@ class _Pair:
         near, tol = self.stats.nearness_per_point, self.tol
 
         def failing(x: str, gap: float) -> tuple[str, ...] | None:
-            key = "special", near[x], gap, tol
-            return _kept(self.right, key, lambda: _failing_basis(self.fiber(key[1])[0], gap, tol))
+            key = "special", min(2.0 * near[x], self.second_diameter), gap, tol
+            return _kept(self.right, key, lambda: _failing_basis(*self.fiber(near[x]), gap, tol))
 
         return _special_classes(self.partition, failing)
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import _require_factors, gravitational
-from .resolving import _TABLES, _least_basis, _table_solve
+from .resolving import _least_basis, _table_solve
 from .resolving import metric_dimension  # noqa: F401 -- re-exported; perfbench traces it here
-from .space import FiniteMetricSpace, _require_finite, _row_blocks, _table_key
+from .space import FiniteMetricSpace, _require_finite, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,9 @@ def twin_classes(space: FiniteMetricSpace) -> TwinPartition:
     exactly when every point's row of the twin matrix equals its least
     twin's row; with exact tables it always is, but tolerance chains could
     break it, and a broken partition raises rather than being silently
-    repaired. The partition is kept once per table in the process-wide memo,
-    each hit a fresh copy; a table that has none raises again every time.
+    repaired. Each call works the partition out afresh.
     """
     _require_finite(space)
-    # Field values, not the object: unpickling a class looks up its module on every hit.
-    fields = _TABLES.recall((_table_key(space), "twins"), lambda: _partition(space))
-    return TwinPartition(*fields)
-
-
-def _partition(space: FiniteMetricSpace) -> tuple:
-    """:func:`twin_classes`' fields, worked out from the table."""
     same = _twin_matrix(space)
     np.fill_diagonal(same, True)
     least = same.argmax(axis=1)
@@ -104,7 +96,7 @@ def _partition(space: FiniteMetricSpace) -> tuple:
             raise ValueError(f"within-class nearness of {cls!r} is not constant")
         gap[cls] = space.d(cls[0], cls[1])
         class_nearness[cls] = near[0]
-    return classes, gap, class_nearness
+    return TwinPartition(classes, gap, class_nearness)
 
 
 def is_twins_free(space: FiniteMetricSpace) -> bool:
@@ -131,35 +123,39 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     A class with gap L qualifies when for every member x and every metric
     basis of that member's fiber (``second`` capped at twice the nearness of
     x) some fiber point sits at capped distance exactly L from all basis
-    points. Each member is checked in full rather than one representative.
+    points. Each member is checked in full rather than one representative;
+    members of one nearness and gap share one plain and one constrained solve.
     Raises ValueError on a pair of factors that :func:`lexicographic` rejects.
     """
     near = dict(zip(base.points, _require_factors(base, second).tolist()))
     tol = max(base.tolerance, second.tolerance)
-    partition = twin_classes(base)
-    return _special_classes(
-        partition, lambda x, gap: _failing_basis(gravitational(second, near[x]), gap, tol)
-    )
+    answers: dict[tuple[float, float], tuple[str, ...] | None] = {}
+
+    def failing(x: str, gap: float) -> tuple[str, ...] | None:
+        if (near[x], gap) not in answers:
+            fib = gravitational(second, near[x])
+            answers[near[x], gap] = _failing_basis(fib, *_table_solve(fib), gap, tol)
+        return answers[near[x], gap]
+
+    return _special_classes(twin_classes(base), failing)
 
 
-def _failing_basis(fib: FiniteMetricSpace, gap: float, tol: float) -> tuple[str, ...] | None:
+def _failing_basis(
+    fib: FiniteMetricSpace, family: tuple, dimension: int, gap: float, tol: float
+) -> tuple[str, ...] | None:
     """The least basis of ``fib`` with no far witness at ``gap``, or None.
 
     A basis B has no far witness when, for every fiber point z, B meets the
-    points off the gap from z. One solve per distinct fiber, gap and tolerance
-    finds the least resolving set that meets those sets: a failing basis exactly
-    when its size is the fiber dimension. It starts from the minimal
-    distinguisher sets of the fiber's plain solve; both are kept per table.
+    points off the gap from z. One solve finds the least resolving set that
+    meets those sets: a failing basis exactly when its size is the fiber's
+    ``dimension``. It starts from ``family``, the minimal distinguisher sets
+    of the fiber's plain solve.
     """
-    def solve() -> tuple[str, ...] | None:
-        family, dimension = _table_solve(fib)
-        must_hit = np.abs(fib.dist - gap) > tol
-        if not must_hit.any(axis=1).all():  # a point with nothing off the gap is a far witness
-            return None
-        found = _least_basis(fib, family, must_hit)
-        return found.basis if found.dimension == dimension else None
-
-    return _TABLES.recall((_table_key(fib), gap, tol), solve)
+    must_hit = np.abs(fib.dist - gap) > tol
+    if not must_hit.any(axis=1).all():  # a point with nothing off the gap is a far witness
+        return None
+    found = _least_basis(fib, family, must_hit)
+    return found.basis if found.dimension == dimension else None
 
 
 def _special_classes(partition: TwinPartition, failing) -> SpecialClassSet:

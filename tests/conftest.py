@@ -7,7 +7,7 @@ from lexmetric import construct, resolving, theory
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Empty the per-table memo, the per-factor records, the pair-index cache and the
+    """Empty the solver's memo, the per-factor records, the pair-index cache and the
     product-label cache, so no test sees another's entries."""
     resolving._TABLES.clear()
     theory._FACTORS.clear()

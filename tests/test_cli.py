@@ -491,8 +491,8 @@ def test_golden_output(name, command, code):
 
 
 def test_golden_output_is_the_same_on_a_warm_memo(capsys, monkeypatch):
-    """Every golden case run twice in one process: the second round finds each table,
-    base analysis and hitting-set component the first round stored."""
+    """Every golden case run twice in one process: the second round finds each family
+    and hitting-set component the first round stored."""
     monkeypatch.chdir(GOLDEN_DIR)
     for warm in (False, True):
         assert any(type(pickle.loads(key)) is list for key in resolving._TABLES) == warm

@@ -8,6 +8,7 @@ both must report as the lexicographically least one.
 import dataclasses
 import gc
 import itertools
+import pickle
 import re
 import tracemalloc
 import weakref
@@ -581,19 +582,29 @@ def test_search_table_dies_with_its_solve():
         gc.enable()
 
 
-def test_memo_hits_are_fresh_equal_copies_of_one_computation():
-    """Two hits on one key give objects equal to what was computed, each one new."""
-    calls = []
+def test_memo_hits_are_fresh_equal_copies_of_one_computation(monkeypatch):
+    """Two hits on one family's key give values equal to what the first solve stored,
+    each one new, and the first solve's answer."""
+    memo, real_loads = resolving_module._TABLES, pickle.loads
+    stored, hits = [], []
 
-    def compute() -> dict:
-        calls.append(None)
-        return {"basis": ["a", "b"], "dimension": 2}
+    def store(key, value):
+        if type(real_loads(key)) is tuple:  # a family's key; a component's is a list
+            stored.append(value)
+        return type(memo).store(memo, key, value)
 
-    first = resolving_module._TABLES.recall(("table", "tag"), compute)
-    hits = [resolving_module._TABLES.recall(("table", "tag"), compute) for _ in range(2)]
-    assert hits[0] == hits[1] == first
-    assert len({id(first), *map(id, hits)}) == 3
-    assert len(calls) == 1
+    def loads(data):
+        hits.append(real_loads(data))
+        return hits[-1]
+
+    monkeypatch.setattr(memo, "store", store)
+    monkeypatch.setattr(pickle, "loads", loads)
+    space = lexicographic(P3, C5).space
+    first = metric_dimension(space)
+    hits.clear()
+    assert [metric_dimension(space) for _ in range(2)] == [first, first]
+    assert len(stored) == 1 and len(hits) == 2 and hits[0] == hits[1] == stored[0]
+    assert len({id(stored[0][0]), *(id(witness) for witness, _ in hits)}) == 3
 
 
 def test_a_family_met_again_is_answered_in_one_lookup(monkeypatch):

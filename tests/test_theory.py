@@ -39,7 +39,7 @@ from lexmetric.theory import (
     verify_squash,
     weighted_corpus_spaces,
 )
-from lexmetric.twins import twin_classes
+from lexmetric.twins import special_classes, twin_classes
 
 from test_construct import HALF_PAIR, K2
 
@@ -451,16 +451,33 @@ def counted(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("base, second", [(K3, P3), (C4, P4), (C4, HALF_PAIR)])
-def test_verify_all_builds_two_products_and_solves_each_table_once(counted, base, second):
-    # Unit-weight bases: every point has nearness 1, so every fiber is one
-    # table. The tables are the product and its squash, the second factor and
-    # its squash, and the fiber, which is the second factor unless capped: P4
-    # alone is capped, at 2.
+# A weighted base with nearness 1 at x1 and x2 and 2 at x3, and two fresh weighted second
+# factors, as corpus makes them: of diameter 1.5, which both caps reach, and of diameter
+# 3, which the cap 2 does not.
+TWO_NEARNESS = FiniteMetricSpace(("x1", "x2", "x3"), [[0, 1, 2], [1, 0, 2], [2, 2, 0.0]])
+BOTH_CAPS_REACH = FiniteMetricSpace(("y1", "y2", "y3"), [[0, 1, 1.5], [1, 0, 1], [1.5, 1, 0]])
+ONE_CAP_REACHES = FiniteMetricSpace(("y1", "y2", "y3"), [[0, 1, 3], [1, 0, 2], [3, 2, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "base, second, caps",
+    [
+        (K3, P3, 1),
+        (C4, P4, 2),
+        (C4, HALF_PAIR, 1),
+        (TWO_NEARNESS, BOTH_CAPS_REACH, 1),
+        (TWO_NEARNESS, ONE_CAP_REACHES, 2),
+    ],
+)
+def test_verify_all_builds_two_products_and_solves_each_table_once(counted, base, second, caps):
+    # One fiber is built per effective cap min(2 t, diameter), and the one at the
+    # diameter is the second factor itself, solved once for its dimension and every
+    # fiber it serves. The other tables are the product, its squash and the squashed
+    # second factor. The unit-weight bases cap at 2, below the diameter of P4 alone.
     verify_all(base, second)
     assert counted["products"] == 2
-    tables = 5 if second is P4 else 4
-    assert len(counted["solves"]) == len(set(counted["solves"])) == tables
+    assert counted["facts"]["gravitational"] == caps
+    assert len(counted["solves"]) == len(set(counted["solves"])) == 3 + caps
 
 
 def test_verify_all_past_the_guard_raises_before_any_solve(counted):
@@ -487,18 +504,19 @@ def test_every_report_that_builds_a_product_refuses_one_past_the_guard(counted, 
     assert all(r.skipped for r in verify_corollaries(K3, K2, 3))
 
 
-def test_the_memo_holds_one_solve_entry_per_solved_table(counted):
-    """A table's family and dimension are one entry, under the tag "solve"; the two
-    products are solved through their reduced families instead."""
+def test_the_memo_holds_only_families_and_components():
+    """The solver's memo keeps its reduced families and hitting-set components
+    alone: twin partitions, tables' dimensions and special-class answers are kept in the
+    factor records, and the public twin functions keep nothing."""
     import lexmetric.resolving as resolving
 
-    verify_all(C4, P4)
+    for base, second in memo_pairs():
+        verify_all(base, second)
+        twin_classes(base)
+        special_classes(base, second)
     keys = [pickle.loads(key) for key in resolving._TABLES]
-    tagged = [key for key in keys if type(key) is tuple and type(key[-1]) is str]
-    assert {tag for _, tag in tagged} == {"twins", "solve", "family"}
-    solved = sorted((key[0], key[2]) for key, tag in tagged if tag == "solve")
-    factors = [s for s in counted["solves"] if len(s[0]) != C4.n * P4.n]
-    assert solved == sorted(factors) and len(factors) == len(set(factors)) == 3
+    assert has_component_entries()
+    assert all(type(key) is list or key[1:] == ("family",) for key in keys)
 
 
 def test_second_verify_all_of_a_pair_solves_only_the_products(counted, monkeypatch):
@@ -519,7 +537,8 @@ def test_second_verify_all_of_a_pair_solves_only_the_products(counted, monkeypat
     monkeypatch.setattr(twins, "_least_basis", least_basis)
     first = json.dumps([r.to_json_dict() for r in verify_all(C4, P4)])
     assert constrained and len(counted["solves"]) == 5
-    assert [counted["facts"][name] for name in FACT_CALLS[:3]] == [1, 1, 1]
+    # Two fibers: P4 capped at 2, and P4 uncapped, which gives its own dimension.
+    assert [counted["facts"][name] for name in FACT_CALLS[:3]] == [2, 1, 1]
     counted["solves"].clear()
     counted["facts"] = dict.fromkeys(FACT_CALLS, 0)
     constrained.clear()
@@ -681,6 +700,40 @@ def test_verify_all_is_the_same_on_a_warm_memo():
     assert has_component_entries()
 
 
+def test_public_special_classes_agree_with_verify_all():
+    """On seeded graph and weighted pairs, ``special_classes``, which solves each fiber
+    itself, and ``verify_all``, which reads the factor records, find the same classes."""
+    for base, second in seeded_pairs(200):
+        member_classes = special_classes(base, second).member_classes
+        witnesses = verify_all(base, second)[0].witnesses
+        assert [list(c) for c in member_classes] == witnesses["special_classes"]
+
+
+def test_a_second_factor_of_zero_diameter_raises_its_solve_error():
+    """Every cap of an all-zero second factor is at its diameter, 0, which is no valid
+    ``t``: its fiber is built from the base nearness, so the error is the solve's own,
+    on a cold and on a warm record. ``verify_all`` solves the product first."""
+    zeros = FiniteMetricSpace(("y1", "y2"), [[0, 0], [0, 0.0]])
+    expected = [
+        (formula_rhs, "'y1' and 'y2'"),
+        (fiber_dimensions, "'y1' and 'y2'"),
+        (verify_all, "'v1|y1' and 'v1|y2'"),
+    ]
+    for _ in range(2):
+        for check, pair in expected:
+            with pytest.raises(ValueError) as raised:
+                check(K2, zeros)
+            assert str(raised.value) == f"points {pair} are indistinguishable at tolerance"
+
+
+def test_a_second_factor_of_zero_diameter_has_its_own_dimension():
+    """The small-diameter corollary reads the second factor's dimension from its entry
+    at the diameter, here 0, which is no valid ``t``: the entry is solved all the same."""
+    negative = FiniteMetricSpace(("a", "b"), [[0, -1], [-1, 0.0]])
+    reports = verify_corollaries(K2, negative)
+    assert [(r.passed, r.rhs) for r in reports] == [(None, None), (True, 2)]
+
+
 def test_a_base_with_no_twin_partition_fails_only_the_reports_that_need_one():
     """A tolerance chain has no twin partition: its diameter report is made and its
     dimension report raises the partition's error, on a cold and on a warm memo."""
@@ -734,7 +787,7 @@ def test_memory_held_by_the_memo_stays_within_its_bound(monkeypatch, bound):
     import lexmetric.resolving as resolving
 
     monkeypatch.setattr(resolving, "_MEMO_BYTES", bound)
-    pairs = seeded_pairs(60)
+    pairs = seeded_pairs(400)
     gc.collect()
     tracemalloc.start()
     try:
@@ -776,7 +829,6 @@ def test_path_by_p4_partial_far_witness():
 
     from lexmetric.construct import gravitational
     from lexmetric.space import FiniteMetricSpace
-    from lexmetric.twins import special_classes
 
     second = FiniteMetricSpace(("p", "q", "r", "s"), graph_metric(path_graph(4)).dist)
     fib = metric_dimension(gravitational(second, 1.0), enumerate_all=True)

@@ -19,7 +19,7 @@ from lexmetric.construct import (
     lexicographic,
     path_graph,
 )
-from lexmetric.resolving import metric_dimension, resolves
+from lexmetric.resolving import _table_solve, metric_dimension, resolves
 from lexmetric.space import FiniteMetricSpace, diameter, nearness, nearness_point
 from lexmetric.theory import (
     connected_graph_spaces,
@@ -94,23 +94,6 @@ class TestTwinClasses:
                 twin_classes(chain)
             assert str(raised.value) == TRANSITIVITY + "'a' and 'c' are linked but not twins"
         assert not resolving._TABLES
-
-    def test_an_equal_table_is_answered_from_the_memo(self, monkeypatch):
-        """A new object with C4's table finds the partition the first call kept, and
-        changing what one call returned changes no later result."""
-        import lexmetric.twins as twins
-
-        built = []
-        real_twin_matrix = twins._twin_matrix
-        monkeypatch.setattr(twins, "_twin_matrix", lambda s: built.append(s) or real_twin_matrix(s))
-        first = twin_classes(C4)
-        first.gap.clear()
-        first.class_nearness.clear()
-        again = twin_classes(FiniteMetricSpace(C4.points, C4.dist.copy()))
-        assert built == [C4]
-        assert again.classes == (("v1", "v3"), ("v2", "v4"))
-        assert again.gap == {("v1", "v3"): 2.0, ("v2", "v4"): 2.0}
-        assert again.class_nearness == {("v1", "v3"): 1.0, ("v2", "v4"): 1.0}
 
     def test_non_finite_table_raises(self):
         inf = float("inf")
@@ -266,16 +249,15 @@ class TestSpecialClasses:
         assert special_classes(strict, second).counterexamples == {("u1", "u2"): ("u1", ("s",))}
 
     def test_constrained_solve_leaves_the_stored_family_unchanged(self):
-        from lexmetric.resolving import _table_solve
+        """The special-class solve starts from the family kept in the fiber's record
+        entry and changes nothing in it."""
+        from lexmetric.theory import _Pair
 
-        fib = gravitational(P4, 1.0)
-        family, dimension = _table_solve(fib)
+        pair = _Pair(P3, P4)
+        family = pair.fiber(1.0)[1]
         before = [list(part) for part in family]
-        for part in family:
-            part.clear()
-        special = special_classes(P3, P4)
-        assert special.counterexamples == {("a", "c"): ("a", ("a", "c"))}
-        assert _table_solve(fib) == (tuple(before), dimension)
+        assert pair.special.counterexamples == {("a", "c"): ("a", ("a", "c"))}
+        assert pair.fiber(1.0)[1] is family and family == tuple(before)
 
     def test_fiber_past_the_enumeration_cap_is_decided(self):
         # 17 points is past the complete-enumeration cap. Every basis leaves
@@ -509,7 +491,7 @@ def test_least_failing_basis_matches_an_independent_ilp():
     size is the fiber dimension; None must mean no point set of that size does.
     """
     pytest.importorskip("scipy")
-    from lexmetric.resolving import _least_basis, _table_solve
+    from lexmetric.resolving import _least_basis
     from lexmetric.theory import random_connected_graph, random_metric_space
     from lexmetric.twins import _failing_basis
 
@@ -527,7 +509,7 @@ def test_least_failing_basis_matches_an_independent_ilp():
         gap = 2 * t if trial % 4 < 2 else float(rng.choice(fib.dist[np.triu_indices(n, 1)]))
         must_hit = np.abs(fib.dist - gap) > fib.tolerance
         family, dimension = _table_solve(fib)
-        failing = _failing_basis(fib, gap, fib.tolerance)
+        failing = _failing_basis(fib, family, dimension, gap, fib.tolerance)
         if must_hit.any(axis=1).all():
             found = _least_basis(fib, family, must_hit)
             assert found.dimension >= dimension
@@ -579,7 +561,7 @@ def test_failing_basis_matches_the_brute_force_scan(seed, n, weighted, gap_kind)
     tol = diameter(fib) if gap_kind == "entry-wide-tolerance" else fib.tolerance
     expected = brute_failing_basis(fib, gap, tol)
     resolving._TABLES.clear()
-    assert _failing_basis(fib, gap, tol) == expected
-    assert _failing_basis(fib, gap, tol) == expected
+    assert _failing_basis(fib, *_table_solve(fib), gap, tol) == expected
+    assert _failing_basis(fib, *_table_solve(fib), gap, tol) == expected
     if gap_kind == "entry-wide-tolerance":
         assert expected is None
