@@ -32,16 +32,11 @@ from .space import (
     FiniteMetricSpace,
     SpaceStats,
     _row_blocks,
+    _trusted_space,
     diameter,
     space_stats,
 )
-from .twins import (
-    SpecialClassSet,
-    TwinPartition,
-    _failing_basis,
-    _special_classes,
-    twin_classes,
-)
+from .twins import SpecialClassSet, TwinPartition, _failing_basis, twin_classes
 
 DEFAULT_PRODUCT_CAP = 36
 
@@ -80,12 +75,12 @@ class VerificationReport:
 
 
 # Each factor object's record of what _Pair has worked out about it, the only store of
-# these facts. As a base: its statistics and twin partition. As a second factor: its
-# diameter; per effective cap min(2 t, diameter), its fiber with the fiber's minimal
-# family and dimension, the uncapped entry giving its own dimension; per cap, gap and
-# tolerance, the special-class answer; and per nearness and tolerance, its squash with
-# the squash report's facts. No value refers to its factor, so a record goes with its
-# factor, and no value is handed to a caller.
+# these facts. As a base: its statistics and, per tolerance, its twin partition. As a
+# second factor: its diameter; per effective cap min(2 t, diameter) and tolerance, its
+# fiber with the fiber's minimal family and dimension, the uncapped entry giving its own
+# dimension; per cap, gap and tolerance, the special-class answer; and per nearness and
+# tolerance, its squash with the squash report's facts. No value refers to its factor,
+# so a record goes with its factor, and no value is handed to a caller.
 _FACTORS: weakref.WeakKeyDictionary[FiniteMetricSpace, dict] = weakref.WeakKeyDictionary()
 
 
@@ -105,8 +100,10 @@ class _Pair:
     reads no twin partition never forms one. What depends on one factor alone is kept
     in that factor's record in ``_FACTORS``, so a pair whose factors were seen before
     builds and solves only its two products. One fiber is built per distinct effective
-    cap. A pair of factors that :func:`lexicographic` rejects is refused here,
-    whichever report is asked for.
+    cap. Every fact is compared at the product's tolerance ``tol``, the larger of the
+    two factors': the base's twins, each fiber, the squashed factor and every
+    distance test. A pair of factors that :func:`lexicographic` rejects is refused
+    here, whichever report is asked for.
     """
 
     base: FiniteMetricSpace
@@ -117,6 +114,12 @@ class _Pair:
         _require_factors(self.base, self.second)
         self.left, self.right = (_FACTORS.setdefault(f, {}) for f in (self.base, self.second))
         self.tol = max(self.base.tolerance, self.second.tolerance)
+
+    def _at_tol(self, space: FiniteMetricSpace) -> FiniteMetricSpace:
+        """``space`` compared at the product's tolerance: itself when it already is."""
+        if space.tolerance == self.tol:
+            return space
+        return _trusted_space(space.points, space._index, space.dist, self.tol)
 
     def _guard(self) -> None:
         total = self.base.n * self.second.n
@@ -132,7 +135,7 @@ class _Pair:
 
     @cached_property
     def partition(self) -> TwinPartition:
-        return _kept(self.left, "twins", lambda: twin_classes(self.base))
+        return _kept(self.left, ("twins", self.tol), lambda: twin_classes(self._at_tol(self.base)))
 
     @cached_property
     def second_diameter(self) -> float:
@@ -155,14 +158,14 @@ class _Pair:
     def fiber(self, t: float) -> tuple[FiniteMetricSpace, tuple, int]:
         """The second factor capped at ``2 t``, its minimal family and its dimension.
 
-        Kept under the effective cap ``min(2 t, diameter)``, so caps at or past the diameter
-        share one entry. It is built from the first ``t`` to reach it, as the cap itself may
-        be no valid ``t``."""
+        Kept under the effective cap ``min(2 t, diameter)`` and the tolerance, so caps at or
+        past the diameter share one entry. It is built from the first ``t`` to reach it, as
+        the cap itself may be no valid ``t``."""
         def build() -> tuple[FiniteMetricSpace, tuple, int]:
-            fib = gravitational(self.second, t)
+            fib = gravitational(self._at_tol(self.second), t)
             return (fib, *_table_solve(fib))
 
-        return _kept(self.right, ("fiber", min(2.0 * t, self.second_diameter)), build)
+        return _kept(self.right, ("fiber", min(2.0 * t, self.second_diameter), self.tol), build)
 
     @cached_property
     def fiber_dimensions(self) -> dict[str, int]:
@@ -172,13 +175,24 @@ class _Pair:
 
     @cached_property
     def special(self) -> SpecialClassSet:
-        near, tol = self.stats.nearness_per_point, self.tol
-
-        def failing(x: str, gap: float) -> tuple[str, ...] | None:
-            key = "special", min(2.0 * near[x], self.second_diameter), gap, tol
-            return _kept(self.right, key, lambda: _failing_basis(*self.fiber(near[x]), gap, tol))
-
-        return _special_classes(self.partition, failing)
+        """The twin classes of :func:`special_classes`, each member checked in full rather
+        than one representative; members of one nearness and gap share one answer."""
+        near, tol, partition = self.stats.nearness_per_point, self.tol, self.partition
+        members: list[tuple[str, ...]] = []
+        counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
+        for cls in partition.non_singleton_classes:
+            gap = partition.gap[cls]
+            for x in cls:
+                key = "special", min(2.0 * near[x], self.second_diameter), gap, tol
+                found = _kept(
+                    self.right, key, lambda: _failing_basis(*self.fiber(near[x]), gap, tol)
+                )
+                if found is not None:
+                    counterexamples[cls] = (x, found)
+                    break
+            else:
+                members.append(cls)
+        return SpecialClassSet(tuple(members), counterexamples)
 
     @cached_property
     def rhs(self) -> int:
@@ -243,16 +257,16 @@ class _Pair:
     def squashed(self, near: float) -> tuple[FiniteMetricSpace, float, int | None]:
         """The second factor squashed at ``near``, its diameter, and its dimension, which is
         None when the squash merges distances the tolerance tells apart."""
-        squashed = squash(near, self.second)
+        squashed = squash(near, self._at_tol(self.second))
         squashed_diameter = diameter(squashed)
         # The tolerance is not transitive: entries that chain within it can span more than
         # it and merge though no sorted neighbours do, so every pair of distinct entries is
         # compared, by subtraction. In float64 the squash rounds distances past about 2**52
         # times the nearness together.
         entries, first = np.unique(self.second.dist, return_index=True)
-        images, gap, tol = squashed.dist.ravel()[first], self.second.tolerance, self.tol
+        images, tol = squashed.dist.ravel()[first], self.tol
         if near - squashed_diameter <= tol or any(
-            np.any((entries[r, None] - entries > gap) & (images[r, None] - images <= tol))
+            np.any((entries[r, None] - entries > tol) & (images[r, None] - images <= tol))
             for r in _row_blocks(len(entries), len(entries))
         ):
             return squashed, squashed_diameter, None

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import _require_factors, gravitational
-from .resolving import _least_basis, _table_solve
+from .resolving import _least_basis
 from .resolving import metric_dimension  # noqa: F401 -- re-exported; perfbench traces it here
 from .space import FiniteMetricSpace, _require_finite, _row_blocks
 
@@ -123,21 +122,16 @@ def special_classes(base: FiniteMetricSpace, second: FiniteMetricSpace) -> Speci
     A class with gap L qualifies when for every member x and every metric
     basis of that member's fiber (``second`` capped at twice the nearness of
     x) some fiber point sits at capped distance exactly L from all basis
-    points. Each member is checked in full rather than one representative;
-    members of one nearness and gap share one plain and one constrained solve.
+    points. Twins, fibers and distances are compared at the product's
+    tolerance, the larger of the two factors'. This is the verifier's own
+    evaluation, kept in the same per-factor records as :func:`verify_all`'s.
     Raises ValueError on a pair of factors that :func:`lexicographic` rejects.
     """
-    near = dict(zip(base.points, _require_factors(base, second).tolist()))
-    tol = max(base.tolerance, second.tolerance)
-    answers: dict[tuple[float, float], tuple[str, ...] | None] = {}
+    # At call time, as theory imports this module; the function stays here, where the
+    # CLI and the benchmark's tracer find it.
+    from .theory import _Pair
 
-    def failing(x: str, gap: float) -> tuple[str, ...] | None:
-        if (near[x], gap) not in answers:
-            fib = gravitational(second, near[x])
-            answers[near[x], gap] = _failing_basis(fib, *_table_solve(fib), gap, tol)
-        return answers[near[x], gap]
-
-    return _special_classes(twin_classes(base), failing)
+    return _Pair(base, second).special
 
 
 def _failing_basis(
@@ -157,21 +151,3 @@ def _failing_basis(
     found = _least_basis(fib, family, must_hit)
     return found.basis if found.dimension == dimension else None
 
-
-def _special_classes(partition: TwinPartition, failing) -> SpecialClassSet:
-    """:func:`special_classes` on a partition at hand.
-
-    ``failing(x, gap)`` is :func:`_failing_basis` of the fiber over ``x`` at ``gap``.
-    """
-    members_out: list[tuple[str, ...]] = []
-    counterexamples: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
-    for cls in partition.non_singleton_classes:
-        gap = partition.gap[cls]
-        for x in cls:
-            found = failing(x, gap)
-            if found is not None:
-                counterexamples[cls] = (x, found)
-                break
-        else:
-            members_out.append(cls)
-    return SpecialClassSet(tuple(members_out), counterexamples)

@@ -407,6 +407,9 @@ GOLDEN = [
     ("verify-chain-k2-diameter", "verify chain.json k2.json --theorem diameter", 0),
     ("verify-chain-k2-squash", "verify chain.json k2.json --theorem squash", 0),
     ("error-verify-chain-k2", "verify chain.json k2.json --theorem all", 2),
+    # The factors' tolerances differ. At the product's, 0.1, the distances 1 and 1.05 are
+    # one, so each fiber has dimension 2, not the 1 it has at the second factor's own 1e-9.
+    ("verify-loose-pair-near-tie", "verify loose-pair.json near-tie.json", 0),
     ("error-twins-chain", "twins chain.json", 2),
     ("corpus-5", "corpus --seed 5 --count 30", 0),
     ("corpus-9-json", "corpus --seed 9 --count 3 --json", 0),

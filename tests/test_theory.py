@@ -467,17 +467,34 @@ ONE_CAP_REACHES = FiniteMetricSpace(("y1", "y2", "y3"), [[0, 1, 3], [1, 0, 2], [
         (C4, HALF_PAIR, 1),
         (TWO_NEARNESS, BOTH_CAPS_REACH, 1),
         (TWO_NEARNESS, ONE_CAP_REACHES, 2),
+        (K2, FiniteMetricSpace(HALF_PAIR.points, HALF_PAIR.dist, 0.25), 1),
     ],
 )
-def test_verify_all_builds_two_products_and_solves_each_table_once(counted, base, second, caps):
+def test_verify_all_builds_two_products_and_solves_each_table_once(
+    counted, monkeypatch, base, second, caps
+):
     # One fiber is built per effective cap min(2 t, diameter), and the one at the
     # diameter is the second factor itself, solved once for its dimension and every
     # fiber it serves. The other tables are the product, its squash and the squashed
     # second factor. The unit-weight bases cap at 2, below the diameter of P4 alone.
-    verify_all(base, second)
+    # ``special_classes`` on the same factor objects then reads the records: it builds
+    # no fiber and runs no plain or constrained solve.
+    import lexmetric.twins as twins
+
+    witness = verify_all(base, second)[0].witnesses["special_classes"]
     assert counted["products"] == 2
     assert counted["facts"]["gravitational"] == caps
     assert len(counted["solves"]) == len(set(counted["solves"])) == 3 + caps
+    counted["solves"].clear()
+    counted["facts"] = dict.fromkeys(FACT_CALLS, 0)
+
+    def constrained_solve(*args):
+        raise AssertionError("special_classes ran a constrained solve")
+
+    monkeypatch.setattr(twins, "_least_basis", constrained_solve)
+    assert [list(c) for c in special_classes(base, second).member_classes] == witness
+    assert counted["facts"] == dict.fromkeys(FACT_CALLS, 0)
+    assert counted["solves"] == []
 
 
 def test_verify_all_past_the_guard_raises_before_any_solve(counted):
@@ -507,7 +524,8 @@ def test_every_report_that_builds_a_product_refuses_one_past_the_guard(counted, 
 def test_the_memo_holds_only_families_and_components():
     """The solver's memo keeps its reduced families and hitting-set components
     alone: twin partitions, tables' dimensions and special-class answers are kept in the
-    factor records, and the public twin functions keep nothing."""
+    factor records, which ``special_classes`` shares with ``verify_all``, and
+    ``twin_classes`` keeps nothing."""
     import lexmetric.resolving as resolving
 
     for base, second in memo_pairs():
@@ -701,12 +719,61 @@ def test_verify_all_is_the_same_on_a_warm_memo():
 
 
 def test_public_special_classes_agree_with_verify_all():
-    """On seeded graph and weighted pairs, ``special_classes``, which solves each fiber
-    itself, and ``verify_all``, which reads the factor records, find the same classes."""
+    """On seeded graph and weighted pairs, the dimension report's special-class witness
+    is what ``special_classes`` returns: both read one evaluation in the factor records."""
     for base, second in seeded_pairs(200):
         member_classes = special_classes(base, second).member_classes
         witnesses = verify_all(base, second)[0].witnesses
         assert [list(c) for c in member_classes] == witnesses["special_classes"]
+
+
+def mixed_tolerance_pairs(seed: int, count: int) -> list:
+    """``count`` seeded pairs of 2-4 points each whose two factors' tolerances differ.
+
+    Entries are drawn from {1, 1.02, 1.05, 1.1, 1.5, 2}. Every two-step path is at least
+    2, the largest entry, so each table is a metric. Tolerances are drawn from
+    {0, 1e-9, 0.03, 0.06, 0.12}, so a near tie is one distance at some and two at others.
+    """
+    rng = np.random.default_rng(seed)
+    values = [1, 1.02, 1.05, 1.1, 1.5, 2]
+
+    def draw(prefix: str, tolerance: float) -> FiniteMetricSpace:
+        n = int(rng.integers(2, 5))
+        upper = np.triu(rng.choice(values, (n, n)), 1)
+        labels = tuple(f"{prefix}{i + 1}" for i in range(n))
+        return FiniteMetricSpace(labels, upper + upper.T, float(tolerance))
+
+    pairs = []
+    for _ in range(count):
+        base_tolerance, second_tolerance = rng.choice([0, 1e-9, 0.03, 0.06, 0.12], 2, False)
+        pairs.append((draw("x", base_tolerance), draw("y", second_tolerance)))
+    return pairs
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_a_pair_is_verified_at_the_product_tolerance():
+    """A pair whose factors' tolerances differ gives the reports, the special classes and
+    the errors of the same pair with both factors rebuilt at the larger tolerance."""
+
+    def verified(factors):
+        return (
+            outcome(lambda: [r.to_json_dict() for r in verify_all(*factors)]),
+            outcome(lambda: special_classes(*factors)),
+        )
+
+    pairs = mixed_tolerance_pairs(40, 300)
+    assert all(validate(space).ok for pair in pairs for space in pair)
+    for base, second in pairs:
+        tol = max(base.tolerance, second.tolerance)
+        alike = [FiniteMetricSpace(f.points, f.dist, tol) for f in (base, second)]
+        assert verified((base, second)) == verified(alike), (base, second)
 
 
 def test_a_second_factor_of_zero_diameter_raises_its_solve_error():

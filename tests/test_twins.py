@@ -14,6 +14,7 @@ from lexmetric.construct import (
     complete_graph,
     cycle_graph,
     discrete_metric,
+    fiber,
     graph_metric,
     gravitational,
     lexicographic,
@@ -39,6 +40,7 @@ from lexmetric.twins import (
 
 from test_construct import HALF_PAIR, K2
 from test_space import BLOCK_BUDGETS, raw_spaces, row_blocks_of
+from test_theory import mixed_tolerance_pairs, outcome
 
 P3 = graph_metric(path_graph(3))
 P4 = graph_metric(path_graph(4))
@@ -309,16 +311,19 @@ class TestSpecialClasses:
 def enumeration_oracle(base, second):
     """Special classes from the definition, over the complete list of fiber bases.
 
-    A member fails at the first basis, in enumeration order, that no fiber
-    point sees at the class gap from every basis point.
+    Each fiber is read off the built product, and the base's twins are taken at
+    the product's tolerance, at which the product compares every distance. A
+    member fails at the first basis, in enumeration order, that no fiber point
+    sees at the class gap from every basis point.
     """
-    tol = max(base.tolerance, second.tolerance)
-    partition = twin_classes(base)
+    product = lexicographic(base, second)
+    tol = product.space.tolerance
+    partition = twin_classes(FiniteMetricSpace(base.points, base.dist, tol))
     members, counterexamples = [], {}
     for cls in partition.non_singleton_classes:
         gap = partition.gap[cls]
         for x in cls:
-            fib = gravitational(second, nearness_point(base, x))
+            fib = fiber(product, x)
             failing = [
                 basis
                 for basis in metric_dimension(fib, enumerate_all=True).all_bases
@@ -342,14 +347,19 @@ def enumeration_oracle(base, second):
             connected_graph_spaces(2, 4) + weighted_corpus_spaces(),
         ),
         lambda: random_pairs(1, 300),
+        lambda: mixed_tolerance_pairs(41, 300),
     ],
-    ids=["graphs-by-graphs-and-weighted", "random-weighted"],
+    ids=["graphs-by-graphs-and-weighted", "random-weighted", "mixed-tolerances"],
 )
 def test_special_classes_agree_with_the_enumeration_oracle(pairs):
+    def special(base, second):
+        found = special_classes(base, second)
+        return found.member_classes, found.counterexamples
+
     for base, second in pairs():
-        special = special_classes(base, second)
-        got = (special.member_classes, special.counterexamples)
-        assert got == enumeration_oracle(base, second), (base.points, second.points)
+        got = outcome(lambda: special(base, second))
+        expected = outcome(lambda: enumeration_oracle(base, second))
+        assert got == expected, (base.points, second.points)
 
 
 def twin_matrix_oracle(space):
